@@ -1,6 +1,5 @@
 // Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation (see EXPERIMENTS.md for the recorded
-// outputs):
+// figure of the paper's evaluation:
 //
 //	BenchmarkTable1          — Table 1 (E1): search space parameters of
 //	                           TPC-H Q5/Q7/Q8/Q9, with and without
@@ -154,206 +153,11 @@ func BenchmarkSampling(b *testing.B) {
 	}
 }
 
-// limbsToBigInt converts a little-endian limb rank to a big.Int for the
-// oracle rows.
-func limbsToBigInt(x []uint64) *big.Int {
-	out := new(big.Int)
-	for i := len(x) - 1; i >= 0; i-- {
-		out.Lsh(out, 64)
-		out.Or(out, new(big.Int).SetUint64(x[i]))
-	}
-	return out
-}
-
-// dualSpaces prepares one TPC-H query twice over the same memo: the
-// uint64 fast path and the big.Int path forced via the test hook, so
-// the dual-path benchmarks compare identical spaces.
-func dualSpaces(tb testing.TB, q string) (fast, bigPath *core.Space) {
-	tb.Helper()
-	p := prepare(tb, q, false)
-	if !p.FitsUint64() {
-		tb.Fatalf("%s space %s exceeds uint64; benchmark fixture invalid", q, p.Count())
-	}
-	bigPath, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return p.Space, bigPath
-}
-
-// BenchmarkUnrank compares the two arithmetic paths of the tentpole
-// refactor on TPC-H-scale spaces: mixed-radix decomposition of
-// pre-drawn ranks into plans. The uint64 path reuses one arena and must
-// run with ~0 allocs/op; the big.Int path is the former implementation.
-// Results are recorded in BENCH_core.json.
-func BenchmarkUnrank(b *testing.B) {
-	for _, q := range []string{"Q5", "Q8", "Q9"} {
-		fast, bigPath := dualSpaces(b, q)
-		smp, err := fast.NewSampler(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ranks := make([]uint64, 1024)
-		if err := smp.SampleRanks(ranks); err != nil {
-			b.Fatal(err)
-		}
-		bigRanks := make([]*big.Int, len(ranks))
-		for i, r := range ranks {
-			bigRanks[i] = new(big.Int).SetUint64(r)
-		}
-		b.Run(q+"/uint64", func(b *testing.B) {
-			var arena core.Arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fast.UnrankInto(ranks[i%len(ranks)], &arena); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(q+"/big", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bigPath.Unrank(bigRanks[i%len(bigRanks)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// Q8 with Cartesian products (~2.7·10^22 plans, 75-bit ranks)
-	// overflows uint64: the wide limb tier is its production path, and
-	// the math/big row — now a forced oracle, exactly like the per-query
-	// /big rows above — prices what the wide tier saves.
-	p8 := prepare(b, "Q8", true)
-	if p8.FitsUint64() {
-		b.Fatalf("Q8+cross space %s fits uint64; fixture invalid", p8.Count())
-	}
-	if !p8.Space.Wide() {
-		b.Fatalf("Q8+cross tier = %s; want wide", p8.Space.Arithmetic())
-	}
-	smp8, err := p8.Sampler(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wideRanks := make([][]uint64, 1024)
-	bigRanks8 := make([]*big.Int, len(wideRanks))
-	buf := make([]uint64, p8.Space.RankLimbs())
-	for i := range wideRanks {
-		r := smp8.NextRankInto(buf)
-		wideRanks[i] = append([]uint64(nil), r...)
-		bigRanks8[i] = limbsToBigInt(r)
-	}
-	b.Run("Q8cross/wide", func(b *testing.B) {
-		var arena core.Arena
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p8.Space.UnrankWideInto(wideRanks[i%len(wideRanks)], &arena); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Q8cross/big", func(b *testing.B) {
-		forced, err := core.Prepare(p8.Opt.Memo, core.WithBigArithmetic())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := forced.Unrank(bigRanks8[i%len(bigRanks8)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSample compares full uniform sampling (rank generation +
-// unranking) across the two arithmetic paths. The uint64 path draws
-// native ranks and decomposes into a reused arena — the steady-state
-// sampling loop of the experiments pipeline.
-func BenchmarkSample(b *testing.B) {
-	for _, q := range []string{"Q5", "Q8", "Q9"} {
-		fast, bigPath := dualSpaces(b, q)
-		b.Run(q+"/uint64", func(b *testing.B) {
-			smp, err := fast.NewSampler(2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var arena core.Arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fast.UnrankInto(smp.NextRank64(), &arena); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(q+"/big", func(b *testing.B) {
-			smp, err := bigPath.NewSampler(2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := smp.Next(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// The beyond-uint64 space: wide limb sampling (the production tier)
-	// vs the forced math/big oracle. Both draw bit-identical rank
-	// streams for the same seed.
-	b.Run("Q8cross/wide", func(b *testing.B) {
-		p := prepare(b, "Q8", true)
-		if !p.Space.Wide() {
-			b.Fatalf("Q8+cross tier = %s; want wide", p.Space.Arithmetic())
-		}
-		smp, err := p.Sampler(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]uint64, p.Space.RankLimbs())
-		var arena core.Arena
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Space.UnrankWideInto(smp.NextRankInto(buf), &arena); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Q8cross/big", func(b *testing.B) {
-		p := prepare(b, "Q8", true)
-		forced, err := core.Prepare(p.Opt.Memo, core.WithBigArithmetic())
-		if err != nil {
-			b.Fatal(err)
-		}
-		smp, err := forced.NewSampler(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := smp.Next(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSampleRanks measures pure rank generation on the batched
 // uint64 API — the number a sampling service would quote as raw
 // rank throughput.
 func BenchmarkSampleRanks(b *testing.B) {
-	fast, _ := dualSpaces(b, "Q9")
-	smp, err := fast.NewSampler(3)
+	smp, err := prepare(b, "Q9", false).Sampler(3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -505,7 +309,7 @@ func BenchmarkExecuteOptimal(b *testing.B) {
 			p := prepare(b, q, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Execute(p.OptimalPlan()); err != nil {
+				if _, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

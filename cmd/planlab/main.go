@@ -130,7 +130,7 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 	}
 	if enum > 0 {
 		// EnumerateRange dispatches to the uint64 fast path internally
-		// and slices huge spaces on the big.Int path.
+		// and slices huge spaces on the wide tier.
 		var printErr error
 		err := p.Space.EnumerateRange(big.NewInt(0), big.NewInt(int64(enum)), func(r *big.Int, pl *plan.Node) bool {
 			sc, cerr := p.ScaledCost(pl)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/big"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/storage"
 )
 
@@ -113,7 +115,7 @@ func run() error {
 
 	// Unrank a few plan numbers and execute them: every plan must return
 	// the same rows (the paper's testing methodology).
-	reference, err := p.Execute(p.OptimalPlan())
+	reference, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		return err
 	}
@@ -125,7 +127,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := p.Execute(pl)
+		res, err := p.ExecuteWith(context.Background(), pl, exec.Options{})
 		if err != nil {
 			return err
 		}

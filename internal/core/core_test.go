@@ -149,6 +149,61 @@ func TestEnumerateRange(t *testing.T) {
 	}
 }
 
+// TestEnumerateRangeClamps: on both tiers the requested range is
+// clamped to [0, N), so a negative lo starts at rank 0, a negative hi
+// yields nothing, and hi beyond N stops at the last rank.
+func TestEnumerateRangeClamps(t *testing.T) {
+	_, res := prepared(t, "SELECT v1 FROM fact, d1 WHERE f1 = k1")
+	for _, tier := range []struct {
+		name string
+		opts []Option
+	}{{"uint64", nil}, {"wide", []Option{WithWideArithmetic()}}} {
+		s, err := Prepare(res.Memo, tier.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Arithmetic() != tier.name {
+			t.Fatalf("tier = %s, want %s", s.Arithmetic(), tier.name)
+		}
+		n := s.Count().Int64()
+		for _, c := range []struct {
+			name         string
+			lo, hi       int64
+			first, count int64
+		}{
+			{"lo<0", -2, 3, 0, 3},
+			{"hi<0", 0, -1, 0, 0},
+			{"lo<0,hi<0", -5, -2, 0, 0},
+			{"hi>N", n - 2, n + 5, n - 2, 2},
+			{"lo<0,hi>N", -1, n + 1, 0, n},
+			{"lo>=N", n, n + 5, 0, 0},
+		} {
+			t.Run(tier.name+"/"+c.name, func(t *testing.T) {
+				var ranks []int64
+				err := s.EnumerateRange(big.NewInt(c.lo), big.NewInt(c.hi), func(r *big.Int, p *plan.Node) bool {
+					want, err := s.Unrank(r)
+					if err != nil || !plan.Equal(p, want) {
+						t.Fatalf("rank %s: enumerated plan differs from Unrank (%v)", r, err)
+					}
+					ranks = append(ranks, r.Int64())
+					return true
+				})
+				if err != nil {
+					t.Fatalf("EnumerateRange(%d, %d): %v", c.lo, c.hi, err)
+				}
+				if int64(len(ranks)) != c.count {
+					t.Fatalf("EnumerateRange(%d, %d) yielded %d plans, want %d", c.lo, c.hi, len(ranks), c.count)
+				}
+				for i, r := range ranks {
+					if r != c.first+int64(i) {
+						t.Fatalf("EnumerateRange(%d, %d) ranks = %v, want %d.. in order", c.lo, c.hi, ranks, c.first)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestAllRejectsHugeSpaces(t *testing.T) {
 	s, _ := prepared(t, starQuery)
 	if s.Count().IsInt64() && s.Count().Int64() < 10_000_000 {

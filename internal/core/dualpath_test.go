@@ -11,54 +11,124 @@ import (
 	"repro/internal/plan"
 )
 
-// bothPaths prepares the same memo twice: once normally (uint64 fast
-// path when it fits) and once forced onto big.Int arithmetic.
-func bothPaths(t *testing.T, m *memo.Memo) (fast, forced *Space) {
+// refCounts checks the space's total and every operator's N(v) against
+// the reference.
+func refCounts(t *testing.T, s *Space, ref *refSpace) {
 	t.Helper()
+	if s.Count().Cmp(ref.Count()) != 0 {
+		t.Fatalf("count %s, reference %s", s.Count(), ref.Count())
+	}
+	for _, g := range s.Memo.Groups {
+		for _, e := range g.Physical {
+			if got, want := s.CountFor(e), ref.CountFor(e); got.Cmp(want) != 0 {
+				t.Fatalf("N(%s) = %s, reference %s", e.Name(), got, want)
+			}
+		}
+	}
+}
+
+// refDiff checks one rank against the reference: Unrank and
+// UnrankBigInto build the reference's plan, and Rank inverts it on both
+// sides.
+func refDiff(t *testing.T, s *Space, ref *refSpace, r *big.Int, arena *Arena) {
+	t.Helper()
+	want, err := ref.Unrank(r)
+	if err != nil {
+		t.Fatalf("reference Unrank(%s): %v", r, err)
+	}
+	got, err := s.Unrank(r)
+	if err != nil {
+		t.Fatalf("Unrank(%s): %v", r, err)
+	}
+	if !plan.Equal(got, want) {
+		t.Fatalf("rank %s: plan %s, reference %s", r, got.Digest(), want.Digest())
+	}
+	if inArena, err := s.UnrankBigInto(r, arena); err != nil || !plan.Equal(inArena, want) {
+		t.Fatalf("rank %s: UnrankBigInto disagrees with the reference (%v)", r, err)
+	}
+	if back, err := s.Rank(got); err != nil || back.Cmp(r) != 0 {
+		t.Fatalf("Rank(Unrank(%s)) = %s, %v", r, back, err)
+	}
+	if back, err := ref.Rank(want); err != nil || back.Cmp(r) != 0 {
+		t.Fatalf("reference Rank(Unrank(%s)) = %s, %v", r, back, err)
+	}
+}
+
+// refStream checks that the space's sampler draws exactly the
+// reference's rank stream for seed — NextRank64 on the uint64 tier,
+// NextRankInto on the wide tier — and returns the ranks.
+func refStream(t *testing.T, s *Space, ref *refSpace, seed int64, n int) []*big.Int {
+	t.Helper()
+	smp, err := s.NewSampler(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smp.Fast() != s.FitsUint64() || smp.Wide() != s.Wide() {
+		t.Fatalf("sampler tier fast=%v wide=%v on a %s space", smp.Fast(), smp.Wide(), s.Arithmetic())
+	}
+	rs := ref.NewSampler(seed)
+	buf := make([]uint64, s.RankLimbs())
+	out := make([]*big.Int, n)
+	for i := range out {
+		var got *big.Int
+		if smp.Fast() {
+			got = new(big.Int).SetUint64(smp.NextRank64())
+		} else {
+			got = bigFromLimbs(smp.NextRankInto(buf))
+		}
+		if want := rs.NextRank(); got.Cmp(want) != 0 {
+			t.Fatalf("draw %d: rank %s, reference %s", i, got, want)
+		}
+		out[i] = got
+	}
+	return out
+}
+
+// refSampleParallel is SampleParallel's contract on the reference:
+// worker w fills its region from a sampler seeded DeriveSeed(seed, w).
+func refSampleParallel(t *testing.T, ref *refSpace, seed int64, k, workers int) []*plan.Node {
+	t.Helper()
+	out := make([]*plan.Node, k)
+	for w := 0; w < workers; w++ {
+		rs := ref.NewSampler(DeriveSeed(seed, w))
+		for i := w * k / workers; i < (w+1)*k/workers; i++ {
+			p, err := ref.Unrank(rs.NextRank())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = p
+		}
+	}
+	return out
+}
+
+// TestDualPathDifferentialFixture runs the full differential suite on
+// the paper fixture against the reference: identical counts, identical
+// plans for every rank, bit-identical sample sequences, and agreeing
+// ranks.
+func TestDualPathDifferentialFixture(t *testing.T) {
+	m := fixture.New().Memo
 	fast, err := Prepare(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err = Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.FitsUint64() {
-		t.Fatal("WithBigArithmetic space claims the uint64 path")
-	}
-	return fast, forced
-}
-
-// TestDualPathDifferentialFixture runs the full differential suite on
-// the paper fixture: identical counts, bit-identical exhaustive
-// enumeration, bit-identical sample sequences, and agreeing ranks on
-// both arithmetic paths.
-func TestDualPathDifferentialFixture(t *testing.T) {
-	fast, forced := bothPaths(t, fixture.New().Memo)
+	ref := newRef(m, nil)
 	if !fast.FitsUint64() {
 		t.Fatal("25-plan fixture space should fit uint64")
 	}
 	if n, ok := fast.CountUint64(); !ok || n != 25 {
 		t.Fatalf("CountUint64 = %d, %v; want 25, true", n, ok)
 	}
-	if fast.Count().Cmp(forced.Count()) != 0 {
-		t.Fatalf("counts differ: %s vs %s", fast.Count(), forced.Count())
-	}
+	refCounts(t, fast, ref)
 
-	// Exhaustive: every rank unranks to the same plan on both paths,
-	// and all four unranking entry points agree.
+	// Exhaustive: every rank unranks to the reference's plan, and all
+	// unranking entry points agree.
 	var arena Arena
 	for r := uint64(0); r < 25; r++ {
+		refDiff(t, fast, ref, new(big.Int).SetUint64(r), &arena)
 		pf, err := fast.Unrank64(r)
 		if err != nil {
 			t.Fatalf("Unrank64(%d): %v", r, err)
-		}
-		pb, err := forced.Unrank(new(big.Int).SetUint64(r))
-		if err != nil {
-			t.Fatalf("big Unrank(%d): %v", r, err)
-		}
-		if pf.Digest() != pb.Digest() {
-			t.Fatalf("rank %d: fast plan %s, big plan %s", r, pf.Digest(), pb.Digest())
 		}
 		pa, err := fast.UnrankInto(r, &arena)
 		if err != nil {
@@ -71,111 +141,100 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		if err != nil || back != r {
 			t.Fatalf("Rank64(Unrank64(%d)) = %d, %v", r, back, err)
 		}
-		bigBack, err := forced.Rank(pb)
-		if err != nil || !bigBack.IsUint64() || bigBack.Uint64() != r {
-			t.Fatalf("big Rank(Unrank(%d)) = %s, %v", r, bigBack, err)
-		}
 	}
 
-	// Sample sequences: same seed, bit-identical ranks on both paths.
-	fs, err := fast.NewSampler(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := forced.NewSampler(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Fast() || bs.Fast() {
-		t.Fatalf("sampler paths wrong: fast=%v forced=%v", fs.Fast(), bs.Fast())
-	}
-	for i := 0; i < 500; i++ {
-		rf := fs.NextRank64()
-		rb := bs.NextRank()
-		if !rb.IsUint64() || rb.Uint64() != rf {
-			t.Fatalf("draw %d: fast rank %d, big rank %s", i, rf, rb)
-		}
-	}
+	// Sample sequences: same seed, bit-identical ranks.
+	refStream(t, fast, ref, 99, 500)
 
-	// SampleParallel must agree across paths too (worker streams are
-	// seed-derived, not path-derived).
+	// SampleParallel follows the reference's per-worker streams.
 	pf, err := fast.SampleParallel(7, 40, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := forced.SampleParallel(7, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pf {
-		if pf[i].Digest() != pb[i].Digest() {
-			t.Fatalf("SampleParallel diverges at %d", i)
+	for i, want := range refSampleParallel(t, ref, 7, 40, 4) {
+		if !plan.Equal(pf[i], want) {
+			t.Fatalf("SampleParallel diverges from the reference at %d", i)
 		}
 	}
 }
 
 // TestDualPathDifferentialStar repeats the differential checks on the
 // optimizer-built star-join spaces, including one far too large to
-// enumerate: counts, sampled plans, and round-trip ranks must be
-// identical on both paths for ~1k random ranks.
+// enumerate: counts, sampled plans, and round-trip ranks must agree
+// with the reference for ~1k random ranks.
 func TestDualPathDifferentialStar(t *testing.T) {
 	for _, query := range []string{
 		"SELECT v1 FROM fact, d1 WHERE f1 = k1",
 		starQuery,
 	} {
 		s, _ := prepared(t, query)
-		forced, err := Prepare(s.Memo, WithBigArithmetic())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newRef(s.Memo, nil)
 		if !s.FitsUint64() {
 			t.Fatalf("star space %s should fit uint64", s.Count())
 		}
 		if n, ok := s.CountUint64(); !ok || new(big.Int).SetUint64(n).Cmp(s.Count()) != 0 {
 			t.Fatalf("CountUint64 = %d, %v; want %s", n, ok, s.Count())
 		}
-		if s.Count().Cmp(forced.Count()) != 0 {
-			t.Fatalf("counts differ: %s vs %s", s.Count(), forced.Count())
-		}
+		refCounts(t, s, ref)
 
 		iters := 1000
 		if testing.Short() {
 			iters = 200
 		}
-		fs, err := s.NewSampler(4242)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs, err := forced.NewSampler(4242)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var arena Arena
-		for i := 0; i < iters; i++ {
-			r := fs.NextRank64()
-			rb := bs.NextRank()
-			if !rb.IsUint64() || rb.Uint64() != r {
-				t.Fatalf("draw %d: fast %d, big %s", i, r, rb)
-			}
-			pf, err := s.UnrankInto(r, &arena)
+		for _, r := range refStream(t, s, ref, 4242, iters) {
+			refDiff(t, s, ref, r, &arena)
+			pf, err := s.UnrankInto(r.Uint64(), &arena)
 			if err != nil {
-				t.Fatalf("UnrankInto(%d): %v", r, err)
+				t.Fatalf("UnrankInto(%s): %v", r, err)
 			}
-			pb, err := forced.Unrank(rb)
-			if err != nil {
-				t.Fatalf("big Unrank(%s): %v", rb, err)
+			if back, err := s.Rank64(pf); err != nil || back != r.Uint64() {
+				t.Fatalf("Rank64 round trip: %s -> %d, %v", r, back, err)
 			}
-			if pf.Digest() != pb.Digest() {
-				t.Fatalf("rank %d: plans differ across paths", r)
+		}
+	}
+}
+
+// TestFilteredSpacesAgainstReference: WithFilter carves sub-spaces out
+// of one memo; on both tiers the carved counts, plans, and ranks must
+// match the reference built with the same keep function.
+func TestFilteredSpacesAgainstReference(t *testing.T) {
+	fx := fixture.New()
+	star, _ := prepared(t, starQuery)
+	noMerge := func(e *memo.Expr) bool { return e.Op != memo.MergeJoin }
+	cases := []struct {
+		name string
+		m    *memo.Memo
+		keep func(*memo.Expr) bool
+	}{
+		{"fixture-without-3.4", fx.Memo, func(e *memo.Expr) bool { return e != fx.Op("3.4") }},
+		{"fixture-no-merge", fx.Memo, noMerge},
+		{"star-no-merge", star.Memo, noMerge},
+		{"star-no-sort", star.Memo, func(e *memo.Expr) bool { return e.Op != memo.Sort }},
+	}
+	for _, tc := range cases {
+		for _, wide := range []bool{false, true} {
+			opts := []Option{WithFilter(tc.keep)}
+			name := tc.name + "/uint64"
+			if wide {
+				opts = append(opts, WithWideArithmetic())
+				name = tc.name + "/wide"
 			}
-			back, err := s.Rank64(pf)
-			if err != nil || back != r {
-				t.Fatalf("Rank64 round trip: %d -> %d, %v", r, back, err)
-			}
-			bigBack, err := forced.Rank(pb)
-			if err != nil || !bigBack.IsUint64() || bigBack.Uint64() != r {
-				t.Fatalf("big Rank round trip: %d -> %s, %v", r, bigBack, err)
-			}
+			t.Run(name, func(t *testing.T) {
+				s, err := Prepare(tc.m, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := newRef(tc.m, tc.keep)
+				refCounts(t, s, ref)
+				if s.Count().Sign() == 0 {
+					t.Fatal("filter emptied the space; the case checks nothing")
+				}
+				var arena Arena
+				for _, r := range refStream(t, s, ref, 5, 200) {
+					refDiff(t, s, ref, r, &arena)
+				}
+			})
 		}
 	}
 }
@@ -203,18 +262,18 @@ func chainMemo(joinLevels int) *memo.Memo {
 	return m
 }
 
-// TestOverflowBoundary proves the uint64/big.Int fallback triggers at
+// TestOverflowBoundary proves the uint64/wide split triggers at
 // exactly the right size: a 2^63-plan chain runs on uint64, the
 // 2^64-plan chain one level deeper overflows the checked counting and
-// falls back to big.Int — where counting, sampling, and rank round
-// trips still work.
+// moves to the wide tier — where counting, sampling, and rank round
+// trips still agree with the reference.
 func TestOverflowBoundary(t *testing.T) {
 	// 62 join levels: N = 2^63, the largest power of two below 2^64.
 	fits, err := Prepare(chainMemo(62))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := new(big.Int).Lsh(bigOne, 63)
+	want := new(big.Int).Lsh(big.NewInt(1), 63)
 	if fits.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^63", fits.Count())
 	}
@@ -236,31 +295,35 @@ func TestOverflowBoundary(t *testing.T) {
 		}
 	}
 
-	// 63 join levels: N = 2^64, one past uint64. Counting must fall
-	// back, the fast entry points must refuse, and the big.Int path
-	// must keep the bijection working across the boundary.
-	over, err := Prepare(chainMemo(63))
+	// 63 join levels: N = 2^64, one past uint64. Counting must move to
+	// the wide tier, the uint64 entry points must refuse, and the
+	// bijection must keep agreeing with the reference across the
+	// boundary.
+	m := chainMemo(63)
+	over, err := Prepare(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = new(big.Int).Lsh(bigOne, 64)
+	ref := newRef(m, nil)
+	want = new(big.Int).Lsh(big.NewInt(1), 64)
 	if over.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^64", over.Count())
 	}
-	if over.FitsUint64() {
-		t.Fatal("2^64-plan space claims to fit uint64")
+	refCounts(t, over, ref)
+	if over.FitsUint64() || !over.Wide() {
+		t.Fatalf("2^64-plan space tier = %s, want wide", over.Arithmetic())
 	}
 	if _, ok := over.CountUint64(); ok {
 		t.Fatal("CountUint64 ok on an overflowing space")
 	}
 	if _, err := over.Unrank64(0); err == nil {
-		t.Fatal("Unrank64 succeeded on the big.Int path")
+		t.Fatal("Unrank64 succeeded on the wide tier")
 	}
 	if _, err := over.UnrankBatch([]uint64{0}); err == nil {
-		t.Fatal("UnrankBatch succeeded on the big.Int path")
+		t.Fatal("UnrankBatch succeeded on the wide tier")
 	}
 	if _, err := over.NewIter(); err == nil {
-		t.Fatal("NewIter succeeded on the big.Int path")
+		t.Fatal("NewIter succeeded on a 2^64-plan space")
 	}
 	smp, err := over.NewSampler(5)
 	if err != nil {
@@ -270,31 +333,23 @@ func TestOverflowBoundary(t *testing.T) {
 		t.Fatal("sampler claims fast path on an overflowing space")
 	}
 	if err := smp.SampleRanks(make([]uint64, 1)); err == nil {
-		t.Fatal("SampleRanks succeeded on the big.Int path")
+		t.Fatal("SampleRanks succeeded on the wide tier")
 	}
-	// Ranks straddling 2^64-1: the largest uint64 rank and the first
-	// rank beyond uint64 must both unrank and round-trip on big.Int.
+	// Ranks straddling 2^64-1: the largest uint64 rank and the last
+	// rank must both unrank and round-trip.
+	var arena Arena
 	for _, r := range []*big.Int{
 		big.NewInt(0),
-		new(big.Int).SetUint64(math.MaxUint64),
-		new(big.Int).Lsh(bigOne, 63),
-		new(big.Int).Sub(want, bigOne), // 2^64 - 1 ... the last rank
+		new(big.Int).SetUint64(math.MaxUint64 - 1),
+		new(big.Int).Lsh(big.NewInt(1), 63),
+		new(big.Int).SetUint64(math.MaxUint64), // 2^64 - 1: the last rank
 	} {
-		p, err := over.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank(%s): %v", r, err)
-		}
-		back, err := over.Rank(p)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("big Rank(Unrank(%s)) = %s, %v", r, back, err)
-		}
+		refDiff(t, over, ref, r, &arena)
 	}
-	// Sampling draws two words per attempt; ranks stay in range.
-	for i := 0; i < 50; i++ {
-		r := smp.NextRank()
-		if r.Sign() < 0 || r.Cmp(over.Count()) >= 0 {
-			t.Fatalf("big-path sample %s out of range", r)
-		}
+	// Sampling draws two words per attempt; the stream is the
+	// reference's.
+	for _, r := range refStream(t, over, ref, 5, 50) {
+		refDiff(t, over, ref, r, &arena)
 	}
 }
 
@@ -465,39 +520,36 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 
 // TestPropertyRoundTripFixtureBothPaths is the fixture half of the
 // property-test satellite: ~1k random ranks must round-trip
-// Rank(Unrank(r)) == r on each arithmetic path independently.
+// Rank(Unrank(r)) == r on the uint64 tier, on the forced wide tier, and
+// on the reference, and all three must build the same plan.
 func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
-	fast, forced := bothPaths(t, fixture.New().Memo)
-	fs, err := fast.NewSampler(8)
+	m := fixture.New().Memo
+	fast, err := Prepare(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := forced.NewSampler(1009)
+	wide, err := Prepare(m, WithWideArithmetic())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		r := fs.NextRank64()
-		p, err := fast.Unrank64(r)
+	ref := newRef(m, nil)
+	var arena Arena
+	for i, r := range refStream(t, fast, ref, 8, 1000) {
+		p, err := fast.Unrank64(r.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Validate(); err != nil {
-			t.Fatalf("plan %d invalid: %v", r, err)
+			t.Fatalf("plan %s invalid: %v", r, err)
 		}
 		back, err := fast.Rank64(p)
-		if err != nil || back != r {
-			t.Fatalf("fast round trip %d -> %d, %v", r, back, err)
+		if err != nil || back != r.Uint64() {
+			t.Fatalf("fast round trip %s -> %d, %v", r, back, err)
 		}
-
-		rb := bs.NextRank()
-		pb, err := forced.Unrank(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bigBack, err := forced.Rank(pb)
-		if err != nil || bigBack.Cmp(rb) != 0 {
-			t.Fatalf("big round trip %s -> %s, %v", rb, bigBack, err)
+		refDiff(t, fast, ref, r, &arena)
+		refDiff(t, wide, ref, r, &arena)
+		if i == 0 {
+			refStream(t, wide, ref, 1009, 1000)
 		}
 	}
 }

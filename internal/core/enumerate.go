@@ -17,17 +17,20 @@ func (s *Space) Enumerate(yield func(r *big.Int, p *plan.Node) bool) error {
 }
 
 // EnumerateRange visits plans with ranks in [lo, hi) in order, for
-// slicing very large spaces into testable chunks.
+// slicing very large spaces into testable chunks. The range is clamped
+// to [0, N) on both tiers.
 func (s *Space) EnumerateRange(lo, hi *big.Int, yield func(r *big.Int, p *plan.Node) bool) error {
-	if s.fits && lo.Sign() >= 0 && lo.IsUint64() {
-		if hi.Sign() <= 0 {
-			return nil
-		}
-		h := s.total64
-		if hi.IsUint64() && hi.Uint64() < h {
-			h = hi.Uint64()
-		}
-		for r := lo.Uint64(); r < h; r++ {
+	if lo.Sign() < 0 {
+		lo = new(big.Int)
+	}
+	if hi.Cmp(s.total) > 0 {
+		hi = s.total
+	}
+	if lo.Cmp(hi) >= 0 {
+		return nil
+	}
+	if s.fits {
+		for r := lo.Uint64(); r < hi.Uint64(); r++ {
 			p, err := s.unrank64(r, nil)
 			if err != nil {
 				return err
@@ -38,45 +41,21 @@ func (s *Space) EnumerateRange(lo, hi *big.Int, yield func(r *big.Int, p *plan.N
 		}
 		return nil
 	}
-	if s.tier == tierWide {
-		// Wide tier: iterate the rank as limbs with one reused scratch
-		// arena for the decompositions; yielded plans are freshly
-		// allocated (and so retainable), the rank arithmetic is not.
-		if lo.Sign() < 0 {
-			lo = new(big.Int)
-		}
-		cur := bigToLimbs(lo, nil)
-		hiW := s.totalW
-		if hi.Sign() < 0 {
-			return nil
-		}
-		if hi.Cmp(s.total) < 0 {
-			hiW = bigToLimbs(hi, nil)
-		}
-		var wa WideArena
-		for wideCmp(cur, hiW) < 0 {
-			wa.Reset()
-			p, err := s.unrankWide(cur, nil, &wa)
-			if err != nil {
-				return err
-			}
-			if !yield(limbsToBig(cur), p) {
-				return nil
-			}
-			cur = wideIncInPlace(cur)
-		}
-		return nil
-	}
-	r := new(big.Int).Set(lo)
-	for r.Cmp(hi) < 0 && r.Cmp(s.total) < 0 {
-		p, err := s.Unrank(r)
+	// Wide tier: iterate the rank as limbs with one reused scratch arena
+	// for the decompositions; yielded plans are freshly allocated (and
+	// so retainable), the rank arithmetic is not.
+	cur, hiW := bigToLimbs(lo, nil), bigToLimbs(hi, nil)
+	var wa WideArena
+	for wideCmp(cur, hiW) < 0 {
+		wa.Reset()
+		p, err := s.unrankWide(cur, nil, &wa)
 		if err != nil {
 			return err
 		}
-		if !yield(new(big.Int).Set(r), p) {
+		if !yield(limbsToBig(cur), p) {
 			return nil
 		}
-		r.Add(r, bigOne)
+		cur = wideIncInPlace(cur)
 	}
 	return nil
 }
@@ -122,10 +101,8 @@ func (s *Space) NewIter() (*PlanIter, error) {
 	if s.fits {
 		return &PlanIter{s: s, hi: s.total64}, nil
 	}
-	if s.tier == tierWide {
-		if t, ok := wideToU64(s.totalW); ok {
-			return &PlanIter{s: s, hi: t}, nil
-		}
+	if t, ok := wideToU64(s.totalW); ok {
+		return &PlanIter{s: s, hi: t}, nil
 	}
 	return nil, errTooLarge(s.total)
 }
@@ -135,17 +112,10 @@ func (s *Space) NewIter() (*PlanIter, error) {
 // ranks themselves are limited to uint64, which any practical scan
 // satisfies.
 func (s *Space) NewRangeIter(lo, hi uint64) (*PlanIter, error) {
-	switch s.tier {
-	case tierUint64:
-		if hi > s.total64 {
-			hi = s.total64
-		}
-	case tierWide:
-		if t, ok := wideToU64(s.totalW); ok && hi > t {
-			hi = t
-		}
-	default:
-		return nil, errTooLarge(s.total)
+	if s.fits {
+		hi = min(hi, s.total64)
+	} else if t, ok := wideToU64(s.totalW); ok {
+		hi = min(hi, t)
 	}
 	return &PlanIter{s: s, next: lo, hi: hi}, nil
 }

@@ -51,16 +51,16 @@ func (a *Arena) newChildren(k int) []*plan.Node {
 	return a.kids[start : start+k : start+k]
 }
 
-// errBigOnly reports use of a uint64-only entry point on a space served
-// by the wide or big tier.
-func (s *Space) errBigOnly() error {
-	return fmt.Errorf("core: space holds %s plans, beyond the uint64 fast path (tier %s); use the wide or big.Int API", s.total, s.tier)
+// errNotUint64 reports use of a uint64-only entry point on a space served
+// by the wide tier.
+func (s *Space) errNotUint64() error {
+	return fmt.Errorf("core: space holds %s plans on the wide tier, beyond the uint64 fast path; use the wide or big.Int API", s.total)
 }
 
 // Unrank64 constructs the plan with rank r on the uint64 fast path,
 // allocating fresh nodes (the returned plan is independent of the
-// space and of any arena). It fails when the space exceeds uint64 or
-// was forced onto the big.Int path.
+// space and of any arena). It fails when the space is served by the
+// wide tier.
 func (s *Space) Unrank64(r uint64) (*plan.Node, error) {
 	return s.unrank64(r, nil)
 }
@@ -79,7 +79,7 @@ func (s *Space) UnrankInto(r uint64, a *Arena) (*plan.Node, error) {
 
 func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 	if !s.fits {
-		return nil, s.errBigOnly()
+		return nil, s.errNotUint64()
 	}
 	if r >= s.total64 {
 		return nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
@@ -88,7 +88,9 @@ func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 	return s.unrankExpr64(s.rootOps[k], r-s.prefix64[k], a)
 }
 
-// unrankExpr64 mirrors unrankExpr with native arithmetic; a == nil
+// unrankExpr64 builds the plan rooted at e with local rank rl in
+// [0, N(e)): the mixed-radix digit of slot i is rl's remainder modulo
+// b_e(i), selected into the slot's candidates by prefix sums. a == nil
 // means heap-allocate each node.
 func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, error) {
 	info := s.info[e.ID]
@@ -137,8 +139,8 @@ func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, err
 	return node, nil
 }
 
-// selectByPrefix64 is selectByPrefix on native integers: the index k
-// with prefix[k] <= r < prefix[k+1]. Short candidate lists take a
+// selectByPrefix64 returns the index k with prefix[k] <= r <
+// prefix[k+1], where prefix[0] = 0 and the last entry is the total. Short candidate lists take a
 // linear scan; wide lists take a galloping probe (rank mass is often
 // front-loaded) that brackets the answer, then a branch-free binary
 // search inside the bracket — the compiler turns the conditional
@@ -176,7 +178,7 @@ func selectByPrefix64(prefix []uint64, r uint64) int {
 // inverse of Unrank64.
 func (s *Space) Rank64(n *plan.Node) (uint64, error) {
 	if !s.fits {
-		return 0, s.errBigOnly()
+		return 0, s.errNotUint64()
 	}
 	for k, e := range s.rootOps {
 		if e == n.Expr {
@@ -228,7 +230,7 @@ func (s *Space) rankExpr64(n *plan.Node) (uint64, error) {
 // then materialize the plans that must outlive any arena.
 func (s *Space) UnrankBatch(ranks []uint64) ([]*plan.Node, error) {
 	if !s.fits {
-		return nil, s.errBigOnly()
+		return nil, s.errNotUint64()
 	}
 	out := make([]*plan.Node, len(ranks))
 	for i, r := range ranks {

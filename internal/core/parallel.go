@@ -62,25 +62,14 @@ func (s *Space) SampleParallel(seed int64, k, workers int) ([]*plan.Node, error)
 				}
 				return
 			}
-			if smp.Wide() {
-				// Wide tier: one reused limb buffer and one reused
-				// scratch arena per worker; plans are freshly allocated
-				// because the output retains them.
-				buf := make([]uint64, s.RankLimbs())
-				var wa WideArena
-				for i := lo; i < hi; i++ {
-					wa.Reset()
-					p, err := s.unrankWide(smp.NextRankInto(buf), nil, &wa)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					out[i] = p
-				}
-				return
-			}
+			// Wide tier: one reused limb buffer and one reused scratch
+			// arena per worker; plans are freshly allocated because the
+			// output retains them.
+			buf := make([]uint64, s.RankLimbs())
+			var wa WideArena
 			for i := lo; i < hi; i++ {
-				_, p, err := smp.Next()
+				wa.Reset()
+				p, err := s.unrankWide(smp.NextRankInto(buf), nil, &wa)
 				if err != nil {
 					errs[w] = err
 					return

@@ -14,33 +14,28 @@ import (
 // deterministic for a given seed (experiments are reproducible) and must
 // not be shared across goroutines; the underlying Space may be.
 //
-// Rejection sampling draws ⌈bits(N)/64⌉ generator words per attempt and
-// keeps the top bits(N) bits, succeeding with probability > 1/2. All
-// three arithmetic tiers consume the generator identically — same word
-// count, same order, same top-word shift — so a space forced onto the
-// wide tier (WithWideArithmetic) or onto math/big (WithBigArithmetic)
-// yields bit-identical rank sequences to the uint64 fast path for the
-// same seed. The wide tier's draw loop reduces the drawn limbs by
-// comparison against the total in place: no big.Int, no allocation.
+// Rejection sampling draws ⌈bits(N)/64⌉ generator words per attempt,
+// most significant first, and keeps the top bits(N) bits, succeeding
+// with probability > 1/2. Both arithmetic tiers consume the generator
+// identically — same word count, same order, same top-word shift — so a
+// space forced onto the wide tier (WithWideArithmetic) yields
+// bit-identical rank sequences to the uint64 fast path for the same
+// seed. The wide tier's draw loop reduces the drawn limbs by comparison
+// against the total in place: no big.Int, no allocation.
 type Sampler struct {
 	space *Space
 	rng   *rand.Rand
+	shift uint // top-word right shift so a draw has exactly bitlen(N) bits
 
-	shift uint     // top-word right shift so a draw has exactly bitlen(N) bits
-	limit *big.Int // == space.total
-
-	// uint64 fast path (active when the space fits).
+	// uint64 fast path (active when the space fits); the wide tier
+	// serves every other space.
 	fast    bool
 	limit64 uint64
 
-	// wide tier (active when the space runs on limb arithmetic).
-	wide    bool
-	scratch []uint64 // limb buffer for NextRank/Next draws
-
-	// draw buffer shared by the wide and big paths (most-significant
-	// word first, matching the historical big.Int draw order).
-	words []uint64
-	tmp   *big.Int // big path scratch
+	// wide tier: the draw buffer (most-significant word first) and the
+	// limb buffer NextRank and Next draw into.
+	words   []uint64
+	scratch []uint64
 }
 
 // NewSampler returns a seeded sampler over the space.
@@ -54,19 +49,13 @@ func (s *Space) NewSampler(seed int64) (*Sampler, error) {
 		space: s,
 		rng:   rand.New(rand.NewSource(seed)),
 		shift: uint(nwords*64 - bits),
-		limit: s.total,
 	}
-	switch s.tier {
-	case tierUint64:
+	if s.fits {
 		smp.fast = true
 		smp.limit64 = s.total64
-	case tierWide:
-		smp.wide = true
+	} else {
 		smp.words = make([]uint64, nwords)
 		smp.scratch = make([]uint64, nwords)
-	default:
-		smp.words = make([]uint64, nwords)
-		smp.tmp = new(big.Int)
 	}
 	return smp, nil
 }
@@ -77,7 +66,7 @@ func (smp *Sampler) Fast() bool { return smp.fast }
 
 // Wide reports whether the sampler runs on the wide limb tier;
 // NextRankInto requires it.
-func (smp *Sampler) Wide() bool { return smp.wide }
+func (smp *Sampler) Wide() bool { return !smp.fast }
 
 // NextRank64 returns a uniform rank in [0, N) on the uint64 path with
 // no heap allocation. It panics when the space is served by another
@@ -98,7 +87,7 @@ func (smp *Sampler) NextRank64() uint64 {
 // UnrankInto under one arena) to materialize the plans.
 func (smp *Sampler) SampleRanks(dst []uint64) error {
 	if !smp.fast {
-		return smp.space.errBigOnly()
+		return smp.space.errNotUint64()
 	}
 	for i := range dst {
 		dst[i] = smp.NextRank64()
@@ -112,7 +101,7 @@ func (smp *Sampler) SampleRanks(dst []uint64) error {
 // truncated to canonical length. It panics off the wide tier — check
 // Wide() first.
 func (smp *Sampler) NextRankInto(dst []uint64) []uint64 {
-	if !smp.wide {
+	if smp.fast {
 		panic("core: NextRankInto on a non-wide-tier sampler; check Wide()")
 	}
 	n := len(smp.words)
@@ -143,7 +132,7 @@ func (smp *Sampler) NextRankInto(dst []uint64) []uint64 {
 // successive NextRankInto calls, so batch and plan-by-plan sampling
 // yield identical rank streams for one seed.
 func (smp *Sampler) SampleRanksWideInto(dst []uint64, k int) error {
-	if !smp.wide {
+	if smp.fast {
 		return fmt.Errorf("core: SampleRanksWideInto on a non-wide-tier sampler; check Wide()")
 	}
 	stride := len(smp.words)
@@ -171,23 +160,7 @@ func (smp *Sampler) NextRank() *big.Int {
 	if smp.fast {
 		return new(big.Int).SetUint64(smp.NextRank64())
 	}
-	if smp.wide {
-		return limbsToBig(smp.NextRankInto(smp.scratch))
-	}
-	for {
-		for i := range smp.words {
-			smp.words[i] = smp.rng.Uint64()
-		}
-		smp.words[0] >>= smp.shift
-		r := new(big.Int)
-		for _, w := range smp.words {
-			r.Lsh(r, 64)
-			r.Or(r, smp.tmp.SetUint64(w))
-		}
-		if r.Cmp(smp.limit) < 0 {
-			return r
-		}
-	}
+	return limbsToBig(smp.NextRankInto(smp.scratch))
 }
 
 // Next draws one uniform plan with its rank.
@@ -200,20 +173,12 @@ func (smp *Sampler) Next() (*big.Int, *plan.Node, error) {
 		}
 		return new(big.Int).SetUint64(r), p, nil
 	}
-	if smp.wide {
-		r := smp.NextRankInto(smp.scratch)
-		p, err := smp.space.UnrankWide(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return limbsToBig(r), p, nil
-	}
-	r := smp.NextRank()
-	p, err := smp.space.Unrank(r)
+	r := smp.NextRankInto(smp.scratch)
+	p, err := smp.space.UnrankWide(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	return r, p, nil
+	return limbsToBig(r), p, nil
 }
 
 // Sample draws k plans (with replacement, as in the paper's 10,000-plan

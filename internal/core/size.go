@@ -1,6 +1,6 @@
 package core
 
-import "math/big"
+import "unsafe"
 
 // Rough per-object overheads used by MemoryFootprint. Exact sizeofs
 // are not the point — the cache's byte accounting needs a consistent,
@@ -11,25 +11,19 @@ const (
 	sliceOverhead  = 24  // slice header
 	memoExprBytes  = 256 // memo.Expr with typical payload
 	memoGroupBytes = 192 // memo.Group sans Exprs slices
-	exprInfoBytes  = 144 // exprInfo struct itself
 )
 
-func bigIntBytes(x *big.Int) int64 {
-	if x == nil {
-		return 0
-	}
-	return bigIntOverhead + int64(len(x.Bits()))*8
-}
+// exprInfoBytes is one slab node's own size.
+const exprInfoBytes = int64(unsafe.Sizeof(exprInfo{}))
 
 // MemoryFootprint estimates the resident bytes of the counted space:
 // the MEMO it pins (groups and operators) plus the link structure the
 // counting pass materialized in whichever tier serves it — candidate
-// lists, uint64 base/prefix tables, the wide tier's limb arena (which
-// backs every wide count, base, and prefix-sum table), and the big.Int
-// tables when the oracle was forced. Non-uint64 spaces charge their
-// full prefix-sum storage, so the SpaceCache's byte-budget eviction
-// prices a wide Q8+cross space honestly instead of assuming the uint64
-// layout.
+// lists, uint64 base/prefix tables, and the wide tier's limb arena
+// (which backs every wide count, base, and prefix-sum table). Wide
+// spaces charge their full prefix-sum storage, so the SpaceCache's
+// byte-budget eviction prices a wide Q8+cross space honestly instead of
+// assuming the uint64 layout.
 func (s *Space) MemoryFootprint() int64 {
 	var n int64
 	for _, info := range s.info {
@@ -57,31 +51,13 @@ func (s *Space) MemoryFootprint() int64 {
 				n += int64(len(pw)) * sliceOverhead
 			}
 		}
-
-		// big.Int tables (oracle only).
-		n += bigIntBytes(info.n)
-		if info.b != nil {
-			n += sliceOverhead + int64(len(info.b))*8
-			for _, b := range info.b {
-				n += bigIntBytes(b)
-			}
-			for _, p := range info.prefix {
-				n += sliceOverhead + int64(len(p))*8
-				for _, x := range p {
-					n += bigIntBytes(x)
-				}
-			}
-		}
 	}
 	n += sliceOverhead + int64(len(s.info))*8
 	n += int64(len(s.slab)) * exprInfoBytes
 	n += s.cands.memoryBytes()
 	n += sliceOverhead + int64(len(s.rootOps))*8
-	n += bigIntBytes(s.total)
+	n += bigIntOverhead + int64(len(s.total.Bits()))*8
 	n += sliceOverhead + int64(len(s.prefix64))*8
-	for _, x := range s.prefix {
-		n += bigIntBytes(x)
-	}
 	n += int64(len(s.prefixW)) * sliceOverhead
 	n += s.tab.MemoryBytes() // every wide limb: counts, bases, prefix sums
 

@@ -8,9 +8,6 @@ import (
 	"repro/internal/fixture"
 )
 
-// bigFromLimbs is the test-side reference conversion.
-func bigFromLimbs(x []uint64) *big.Int { return limbsToBig(x) }
-
 // randLimbs draws n canonical limbs with a set top limb.
 func randLimbs(rng *rand.Rand, n int) []uint64 {
 	if n == 0 {
@@ -101,12 +98,15 @@ func TestWideHelpersAgainstBig(t *testing.T) {
 			}
 		}
 		work := append([]uint64(nil), x...)
-		if got, want := bigFromLimbs(wideIncInPlace(work)), new(big.Int).Add(bx, bigOne); got.Cmp(want) != 0 {
+		if got, want := bigFromLimbs(wideIncInPlace(work)), new(big.Int).Add(bx, big.NewInt(1)); got.Cmp(want) != 0 {
 			t.Fatalf("inc(%s) = %s, want %s", bx, got, want)
 		}
 		a.Reset()
 		if got, want := string(AppendWideDecimal(nil, x, &a)), bx.String(); got != want {
 			t.Fatalf("decimal(%v) = %q, want %q", x, got, want)
+		}
+		if got := limbsToBig(x); got.Cmp(bx) != 0 {
+			t.Fatalf("limbsToBig(%v) = %s, want %s", x, got, bx)
 		}
 		back := bigToLimbs(bx, nil)
 		if wideCmp(back, x) != 0 {
@@ -195,11 +195,9 @@ func TestSelectByPrefix64Hybrid(t *testing.T) {
 }
 
 // TestTriPathDifferentialFixture runs the full differential suite on
-// the paper fixture across all three tiers: identical counts, identical
-// plans for every rank, bit-identical sampler streams, and agreeing
-// round-trip ranks. The uint64 tier is the PR-3 behavior (golden), the
-// big tier is the oracle, and the wide tier is the new production path
-// for large spaces.
+// the paper fixture across both tiers and the reference: identical
+// counts, identical plans for every rank, bit-identical sampler
+// streams, and agreeing round-trip ranks.
 func TestTriPathDifferentialFixture(t *testing.T) {
 	m := fixture.New().Memo
 	fast, err := Prepare(m)
@@ -210,31 +208,26 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newRef(m, nil)
 	if !fast.FitsUint64() || fast.Arithmetic() != "uint64" {
 		t.Fatalf("fast tier = %s", fast.Arithmetic())
 	}
 	if wide.FitsUint64() || !wide.Wide() || wide.Arithmetic() != "wide" {
 		t.Fatalf("forced wide tier = %s", wide.Arithmetic())
 	}
-	if forced.Arithmetic() != "big" {
-		t.Fatalf("forced big tier = %s", forced.Arithmetic())
-	}
-	if fast.Count().Cmp(wide.Count()) != 0 || fast.Count().Cmp(forced.Count()) != 0 {
-		t.Fatalf("counts differ: %s / %s / %s", fast.Count(), wide.Count(), forced.Count())
-	}
+	refCounts(t, fast, ref)
+	refCounts(t, wide, ref)
 	if wide.RankLimbs() != 1 {
 		t.Fatalf("RankLimbs = %d for a 25-plan space", wide.RankLimbs())
 	}
 
-	// Exhaustive: every rank produces the same plan on every tier and
-	// round-trips through the wide Rank.
+	// Exhaustive: every rank produces the reference's plan on both
+	// tiers, through every unranking entry point.
 	var arena Arena
 	rankBuf := make([]uint64, 1)
 	for r := uint64(0); r < 25; r++ {
+		refDiff(t, fast, ref, new(big.Int).SetUint64(r), &arena)
+		refDiff(t, wide, ref, new(big.Int).SetUint64(r), &arena)
 		pf, err := fast.Unrank64(r)
 		if err != nil {
 			t.Fatalf("Unrank64(%d): %v", r, err)
@@ -244,41 +237,15 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("UnrankWideInto(%d): %v", r, err)
 		}
-		pb, err := forced.Unrank(new(big.Int).SetUint64(r))
-		if err != nil {
-			t.Fatalf("big Unrank(%d): %v", r, err)
-		}
-		if pw.Digest() != pf.Digest() || pw.Digest() != pb.Digest() {
+		if pw.Digest() != pf.Digest() {
 			t.Fatalf("rank %d: digests differ across tiers", r)
-		}
-		// Fresh-allocation wide path and the big.Int front door agree.
-		pw2, err := wide.Unrank(new(big.Int).SetUint64(r))
-		if err != nil || pw2.Digest() != pf.Digest() {
-			t.Fatalf("wide Unrank(%d) = %v, %v", r, pw2, err)
-		}
-		back, err := wide.Rank(pw2)
-		if err != nil || !back.IsUint64() || back.Uint64() != r {
-			t.Fatalf("wide Rank(Unrank(%d)) = %s, %v", r, back, err)
 		}
 	}
 
-	// Sampler streams: bit-identical across all three tiers.
-	fs, _ := fast.NewSampler(99)
-	ws, _ := wide.NewSampler(99)
-	bs, _ := forced.NewSampler(99)
-	if !fs.Fast() || !ws.Wide() || bs.Fast() || bs.Wide() {
-		t.Fatalf("sampler tiers wrong: fast=%v wide=%v big fast=%v wide=%v", fs.Fast(), ws.Wide(), bs.Fast(), bs.Wide())
-	}
-	buf := make([]uint64, wide.RankLimbs())
-	for i := 0; i < 500; i++ {
-		rf := fs.NextRank64()
-		rw := ws.NextRankInto(buf)
-		rb := bs.NextRank()
-		v, ok := wideToU64(rw)
-		if !ok || v != rf || !rb.IsUint64() || rb.Uint64() != rf {
-			t.Fatalf("draw %d: fast %d, wide %s, big %s", i, rf, bigFromLimbs(rw), rb)
-		}
-	}
+	// Sampler streams: bit-identical across both tiers and the
+	// reference.
+	refStream(t, fast, ref, 99, 500)
+	refStream(t, wide, ref, 99, 500)
 
 	// SampleParallel agrees across tiers (worker streams are
 	// seed-derived, not tier-derived).
@@ -298,7 +265,7 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 }
 
 // TestWideBoundary64: the 2^64-plan chain memo sits exactly one past
-// uint64 — it must land on the wide tier and agree with the big oracle
+// uint64 — it must land on the wide tier and agree with the reference
 // on ranks straddling the boundary (2^64-1 is the last rank).
 func TestWideBoundary64(t *testing.T) {
 	m := chainMemo(63)
@@ -309,14 +276,12 @@ func TestWideBoundary64(t *testing.T) {
 	if !w.Wide() {
 		t.Fatalf("2^64-plan space tier = %s, want wide", w.Arithmetic())
 	}
-	oracle, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
+	ref := newRef(m, nil)
+	want := new(big.Int).Lsh(big.NewInt(1), 64)
+	if w.Count().Cmp(want) != 0 {
+		t.Fatalf("count %s, want 2^64", w.Count())
 	}
-	want := new(big.Int).Lsh(bigOne, 64)
-	if w.Count().Cmp(want) != 0 || oracle.Count().Cmp(want) != 0 {
-		t.Fatalf("counts: wide %s, big %s, want 2^64", w.Count(), oracle.Count())
-	}
+	refCounts(t, w, ref)
 	if w.RankLimbs() != 2 {
 		t.Fatalf("RankLimbs = %d, want 2", w.RankLimbs())
 	}
@@ -325,95 +290,54 @@ func TestWideBoundary64(t *testing.T) {
 		big.NewInt(0),
 		big.NewInt(1),
 		new(big.Int).SetUint64(1<<64 - 1),
-		new(big.Int).Lsh(bigOne, 63),
-		new(big.Int).Sub(want, bigOne), // 2^64 - 1: the last rank, 2 limbs
+		new(big.Int).Lsh(big.NewInt(1), 63),
+		new(big.Int).Sub(want, big.NewInt(1)), // 2^64 - 1: the last rank
 	} {
-		pw, err := w.UnrankBigInto(r, &arena)
-		if err != nil {
-			t.Fatalf("wide Unrank(%s): %v", r, err)
-		}
-		pb, err := oracle.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank(%s): %v", r, err)
-		}
-		if pw.Digest() != pb.Digest() {
-			t.Fatalf("rank %s: wide and big disagree", r)
-		}
-		back, err := w.Rank(pw)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("wide Rank round trip %s -> %s, %v", r, back, err)
-		}
+		refDiff(t, w, ref, r, &arena)
 	}
 	if _, err := w.Unrank(want); err == nil {
 		t.Fatal("rank N unranked; want out-of-range error")
 	}
-	// Identical seeded streams, wide vs big oracle.
-	ws, _ := w.NewSampler(5)
-	bs, _ := oracle.NewSampler(5)
-	buf := make([]uint64, w.RankLimbs())
-	for i := 0; i < 200; i++ {
-		rw := ws.NextRankInto(buf)
-		rb := bs.NextRank()
-		if bigFromLimbs(rw).Cmp(rb) != 0 {
-			t.Fatalf("draw %d: wide %s, big %s", i, bigFromLimbs(rw), rb)
-		}
-	}
+	// Identical seeded streams, wide vs reference.
+	refStream(t, w, ref, 5, 200)
 }
 
 // TestWideBoundary128: the 2^128-plan chain crosses the two-limb/
 // three-limb boundary, so the decomposer's multi-limb divisors (chain
 // bases reach 2^127) and the 128-bit rank straddle both get exercised
-// against the oracle.
+// against the reference.
 func TestWideBoundary128(t *testing.T) {
 	m := chainMemo(127)
 	w, err := Prepare(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Lsh(bigOne, 128)
+	ref := newRef(m, nil)
+	want := new(big.Int).Lsh(big.NewInt(1), 128)
 	if w.Count().Cmp(want) != 0 {
 		t.Fatalf("count %s, want 2^128", w.Count())
 	}
+	refCounts(t, w, ref)
 	ranks := []*big.Int{
 		big.NewInt(0),
 		new(big.Int).SetUint64(1<<64 - 1),
-		new(big.Int).Lsh(bigOne, 64),
-		new(big.Int).Lsh(bigOne, 127),
-		new(big.Int).Sub(want, bigOne),
+		new(big.Int).Lsh(big.NewInt(1), 64),
+		new(big.Int).Lsh(big.NewInt(1), 127),
+		new(big.Int).Sub(want, big.NewInt(1)),
 	}
-	// Plus seeded random ranks drawn from the oracle's own sampler.
-	bs, _ := oracle.NewSampler(23)
-	for i := 0; i < 50; i++ {
-		ranks = append(ranks, bs.NextRank())
-	}
+	// Plus the seeded stream, drawn identically by both sides.
+	ranks = append(ranks, refStream(t, w, ref, 23, 50)...)
 	var arena Arena
 	for _, r := range ranks {
-		pw, err := w.UnrankBigInto(r, &arena)
-		if err != nil {
-			t.Fatalf("wide Unrank(%s): %v", r, err)
-		}
-		pb, err := oracle.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank(%s): %v", r, err)
-		}
-		if pw.Digest() != pb.Digest() {
-			t.Fatalf("rank %s: wide and big disagree", r)
-		}
-		back, err := w.Rank(pw)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("wide Rank round trip %s -> %s, %v", r, back, err)
-		}
+		refDiff(t, w, ref, r, &arena)
 	}
 }
 
 // TestWideDeepMemo is the 128-limb instrument: a 2^8191-plan chain
 // whose counts, bases, and ranks occupy 128 limbs. Counting must stay
-// exact (the count is a single bit at position 8191) and random oracle
-// ranks must round-trip through the wide decomposer.
+// exact (the count is a single bit at position 8191) and seeded ranks
+// must round-trip through the wide decomposer in agreement with the
+// reference.
 func TestWideDeepMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep memo round trips are slow under -short")
@@ -423,44 +347,25 @@ func TestWideDeepMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := new(big.Int).Lsh(bigOne, 8191)
+	want := new(big.Int).Lsh(big.NewInt(1), 8191)
 	if w.Count().Cmp(want) != 0 {
 		t.Fatalf("count has bit length %d, want 8192", w.Count().BitLen())
 	}
 	if w.RankLimbs() != 128 {
 		t.Fatalf("RankLimbs = %d, want 128", w.RankLimbs())
 	}
-	// The oracle space doubles memory; build it once and compare a few
-	// ranks including both extremes.
-	oracle, err := Prepare(m, WithBigArithmetic())
-	if err != nil {
-		t.Fatal(err)
+	ref := newRef(m, nil)
+	if ref.Count().Cmp(want) != 0 {
+		t.Fatalf("reference count has bit length %d, want 8192", ref.Count().BitLen())
 	}
 	ranks := []*big.Int{
 		big.NewInt(0),
-		new(big.Int).Sub(want, bigOne),
+		new(big.Int).Sub(want, big.NewInt(1)),
 	}
-	bs, _ := oracle.NewSampler(41)
-	for i := 0; i < 3; i++ {
-		ranks = append(ranks, bs.NextRank())
-	}
+	ranks = append(ranks, refStream(t, w, ref, 41, 3)...)
 	var arena Arena
 	for _, r := range ranks {
-		pw, err := w.UnrankBigInto(r, &arena)
-		if err != nil {
-			t.Fatalf("wide Unrank: %v", err)
-		}
-		pb, err := oracle.Unrank(r)
-		if err != nil {
-			t.Fatalf("big Unrank: %v", err)
-		}
-		if pw.Digest() != pb.Digest() {
-			t.Fatal("wide and big disagree on a 128-limb rank")
-		}
-		back, err := w.Rank(pw)
-		if err != nil || back.Cmp(r) != 0 {
-			t.Fatalf("round trip failed: %v", err)
-		}
+		refDiff(t, w, ref, r, &arena)
 	}
 }
 

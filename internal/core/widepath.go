@@ -17,7 +17,7 @@ import (
 
 // errNotWide reports use of a wide-only entry point off the wide tier.
 func (s *Space) errNotWide() error {
-	return fmt.Errorf("core: space runs on the %s tier, not wide; use the matching API", s.tier)
+	return fmt.Errorf("core: space runs on the uint64 tier, not wide; use the matching API")
 }
 
 // UnrankWide constructs the plan with canonical little-endian rank r on
@@ -42,7 +42,7 @@ func (s *Space) UnrankWideInto(r []uint64, a *Arena) (*plan.Node, error) {
 }
 
 func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
-	if s.tier != tierWide {
+	if s.fits {
 		return nil, s.errNotWide()
 	}
 	r = wideNorm(r)
@@ -164,7 +164,7 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 // of UnrankWide. It allocates (ranking is an API operation, not the
 // sampling hot loop).
 func (s *Space) rankWide(n *plan.Node) (*big.Int, error) {
-	if s.tier != tierWide {
+	if s.fits {
 		return nil, s.errNotWide()
 	}
 	var scratch [1]uint64

@@ -16,37 +16,38 @@ import (
 // that cost uniformly sampled plans.
 //
 // A Model reads cardinalities and memoized local costs from an overlay
-// (cost.Tables) when one is attached — the production path, where many
-// costings share one immutable memo — and falls back to the annotation
-// fields on the memo itself (memo.Group.Card, memo.Expr.LocalCost) when
-// built bare with NewModel, the path unit tests and ad-hoc costings use.
+// (cost.Tables), so many costings can share one immutable memo.
 type Model struct {
 	P   Params
 	Est *Estimator
 
-	tab *Tables // nil: read the memo's own annotation fields
+	tab *Tables
 }
 
-// NewModel returns a model bound to an estimator, reading cardinalities
-// from the memo's annotation fields.
-func NewModel(est *Estimator) *Model { return &Model{P: est.P, Est: est} }
-
 // NewModelWith returns a model reading cardinalities and local costs
-// from the given overlay instead of the memo's fields.
+// from the given overlay.
 func NewModelWith(est *Estimator, tab *Tables) *Model {
 	return &Model{P: est.P, Est: est, tab: tab}
 }
 
-// Tables returns the model's overlay (nil for a bare model).
-func (m *Model) Tables() *Tables { return m.tab }
+// CardOf returns the overlay's estimated output cardinality of a group.
+func (m *Model) CardOf(g *memo.Group) float64 { return m.tab.CardOf(g) }
 
-// CardOf returns the estimated output cardinality of a group — from the
-// overlay when present, else the group's annotation field.
-func (m *Model) CardOf(g *memo.Group) float64 {
-	if m.tab != nil {
-		return m.tab.CardOf(g)
+// FillLocals derives every physical operator's local cost from the
+// overlay's cardinalities and memoizes it in the overlay, so costing a
+// plan reuses it instead of re-deriving it per plan — the hot sampling
+// loops cost thousands of plans over the same operators.
+func (m *Model) FillLocals(mem *memo.Memo) error {
+	for _, g := range mem.Groups {
+		for _, e := range g.Physical {
+			lc, err := m.Local(e)
+			if err != nil {
+				return err
+			}
+			m.tab.Locals[e.ID] = lc
+		}
 	}
-	return g.Card
+	return nil
 }
 
 // Combine returns the full cost of the plan rooted at e given the full
@@ -60,13 +61,10 @@ func (m *Model) Combine(e *memo.Expr, childCosts []float64) (float64, error) {
 			e.Name(), len(e.Children), len(childCosts))
 	}
 	var local float64
-	switch {
-	case m.tab != nil && e.ID < len(m.tab.Locals):
+	if e.ID < len(m.tab.Locals) {
 		local = m.tab.Locals[e.ID]
-	case m.tab == nil && e.LocalCostValid:
-		local = e.LocalCost
-	default:
-		// Bare expressions (unit tests, ad-hoc costing) derive it live.
+	} else {
+		// Operators added after the overlay was sized derive it live.
 		var err error
 		if local, err = m.Local(e); err != nil {
 			return 0, err

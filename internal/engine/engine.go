@@ -200,7 +200,7 @@ func (e *Engine) Run(sqlText string) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Execute(chosen)
+	return p.ExecuteWith(context.Background(), chosen, exec.Options{})
 }
 
 // Session is one rule/cost configuration over an engine's database and
@@ -387,8 +387,8 @@ func (p *Prepared) Count() *big.Int { return p.Space.Count() }
 // (see core.Space.FitsUint64).
 func (p *Prepared) FitsUint64() bool { return p.Space.FitsUint64() }
 
-// Arithmetic names the tier serving the space — "uint64", "wide", or
-// "big" (see core.Space.Arithmetic).
+// Arithmetic names the tier serving the space — "uint64" or "wide"
+// (see core.Space.Arithmetic).
 func (p *Prepared) Arithmetic() string { return p.Space.Arithmetic() }
 
 // CountUint64 returns the plan count as a native uint64 when the fast
@@ -447,13 +447,6 @@ func (p *Prepared) ScaledCostWith(n *plan.Node, buf *plan.CostBuf) (float64, err
 		return 0, err
 	}
 	return c / p.Opt.BestCost, nil
-}
-
-// Execute runs a specific plan from this query's space to completion
-// with no resource limits (the trusted-caller path). Governed execution
-// goes through ExecuteWith or Session.Execute.
-func (p *Prepared) Execute(n *plan.Node) (*exec.Result, error) {
-	return p.ExecuteWith(context.Background(), n, exec.Options{})
 }
 
 // ExecuteWith runs a specific plan from this query's space under ctx

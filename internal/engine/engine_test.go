@@ -1,12 +1,14 @@
 package engine_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/big"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/rules"
 	"repro/internal/storage"
@@ -78,11 +80,11 @@ func TestUsePlanSelectsSpecificPlan(t *testing.T) {
 		t.Error("ChosenPlan != Unrank(12345)")
 	}
 	// Executing the selected plan gives the same rows as the optimizer's.
-	res, err := p.Execute(chosen)
+	res, err := p.ExecuteWith(context.Background(), chosen, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.Execute(p.OptimalPlan())
+	ref, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestExportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := p.Space.ExportJSON()
+	blob, err := p.ExportJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestExecuteResolvesUseplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exe.Prepared.Execute(direct)
+	res, err := exe.Prepared.ExecuteWith(context.Background(), direct, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,10 +107,9 @@ func TestConcurrentPrepareSingleCount(t *testing.T) {
 }
 
 // TestCatalogBumpInvalidatesTiers: the two cache tiers split what a
-// catalog change invalidates. A statistics bump (BumpVersion /
-// BumpStats — what storage.ComputeStats issues) leaves the counted
-// structure cached and only forces a re-cost; a schema bump rebuilds
-// the structure itself.
+// catalog change invalidates. A statistics bump (BumpStats — what
+// storage.ComputeStats issues) leaves the counted structure cached and
+// only forces a re-cost; a schema bump rebuilds the structure itself.
 func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 	// Private database: bumping the shared test fixture's catalog would
 	// leak invalidations into other tests.
@@ -122,7 +121,7 @@ func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 	}
 
 	// Statistics refresh: structure survives, overlay is re-costed.
-	db.Catalog().BumpVersion()
+	db.Catalog().BumpStats()
 	p2, err := e.Prepare(smallJoin)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"math/big"
 	"strings"
 	"testing"
@@ -255,7 +256,7 @@ func TestAllPlansSameResultSmall(t *testing.T) {
 	if !n.IsInt64() || n.Int64() > 500000 {
 		t.Fatalf("space too large for exhaustive execution: %s", n)
 	}
-	reference, err := p.Execute(p.OptimalPlan())
+	reference, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestAllPlansSameResultSmall(t *testing.T) {
 	}
 	executed := 0
 	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
-		res, err := p.Execute(pl)
+		res, err := p.ExecuteWith(context.Background(), pl, exec.Options{})
 		if err != nil {
 			t.Fatalf("plan %s failed: %v\n%s", r, err, pl)
 		}
@@ -345,7 +346,7 @@ func TestIndexLookupJoinExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := p.Execute(p.OptimalPlan())
+	reference, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestIndexLookupJoinExecutes(t *testing.T) {
 			return true
 		}
 		found++
-		res, err := p.Execute(pl)
+		res, err := p.ExecuteWith(context.Background(), pl, exec.Options{})
 		if err != nil {
 			t.Fatalf("lookup-join plan %s failed: %v\n%s", r, err, pl)
 		}
@@ -392,7 +393,7 @@ func TestLookupJoinDuplicateOuterKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := p.Execute(p.OptimalPlan())
+	reference, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestLookupJoinDuplicateOuterKeys(t *testing.T) {
 	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
 		for _, op := range pl.Operators() {
 			if op.Op == memo.IndexNLJoin {
-				res, err := p.Execute(pl)
+				res, err := p.ExecuteWith(context.Background(), pl, exec.Options{})
 				if err != nil {
 					t.Fatalf("plan %s: %v", r, err)
 				}

@@ -148,7 +148,7 @@ func TestOperatorCountersRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Execute(p.OptimalPlan())
+	res, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestNestedLoopReopenLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := p.Execute(p.OptimalPlan())
+	reference, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestNestedLoopReopenLifecycle(t *testing.T) {
 	err = p.Space.Enumerate(func(r *big.Int, pl *plan.Node) bool {
 		for _, op := range pl.Operators() {
 			if op.Op == memo.NestedLoopJoin {
-				res, err := p.Execute(pl)
+				res, err := p.ExecuteWith(context.Background(), pl, exec.Options{})
 				if err != nil {
 					t.Fatalf("NL plan %s: %v", r, err)
 				}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/memo"
 	"repro/internal/plan"
@@ -30,7 +32,7 @@ type Table1Row struct {
 	Query     string
 	Cross     bool // Cartesian products allowed (second half of the table)
 	Plans     *big.Int
-	Arith     string // arithmetic path serving the space: "uint64" or "big"
+	Arith     string // arithmetic path serving the space: "uint64" or "wide"
 	Sample    int
 	Min       float64
 	Mean      float64
@@ -180,9 +182,8 @@ func sampleScaledCosts(p *engine.Prepared, cfg *Config) ([]float64, error) {
 // costed and discarded, so the loop is allocation-free after warm-up.
 // The wide limb tier (spaces beyond 2^64, e.g. Q8 with Cartesian
 // products) keeps the same steady-state profile: one reused limb
-// buffer, one arena, one cost stack. Only a space forced onto the
-// math/big oracle draws plan by plan with per-plan allocation; all
-// tiers see the same plans for the same seed.
+// buffer, one arena, one cost stack. Both tiers see the same plans for
+// the same seed.
 func sampleRegion(p *engine.Prepared, seed int64, out []float64) error {
 	smp, err := p.Sampler(seed)
 	if err != nil {
@@ -215,24 +216,10 @@ func sampleRegion(p *engine.Prepared, seed int64, out []float64) error {
 		}
 		return nil
 	}
-	if smp.Wide() {
-		buf := make([]uint64, p.Space.RankLimbs())
-		var arena core.Arena
-		for i := range out {
-			pl, err := p.Space.UnrankWideInto(smp.NextRankInto(buf), &arena)
-			if err != nil {
-				return err
-			}
-			sc, err := p.ScaledCostWith(pl, &costBuf)
-			if err != nil {
-				return err
-			}
-			out[i] = sc
-		}
-		return nil
-	}
+	buf := make([]uint64, p.Space.RankLimbs())
+	var arena core.Arena
 	for i := range out {
-		_, pl, err := smp.Next()
+		pl, err := p.Space.UnrankWideInto(smp.NextRankInto(buf), &arena)
 		if err != nil {
 			return err
 		}
@@ -385,7 +372,7 @@ func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, s
 	if err != nil {
 		return nil, err
 	}
-	reference, err := p.Execute(p.OptimalPlan())
+	reference, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: executing optimal plan: %w", err)
 	}
@@ -397,7 +384,7 @@ func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, s
 			report.Mismatches = append(report.Mismatches, fmt.Sprintf("plan %s invalid: %v", r, err))
 			return nil
 		}
-		res, err := p.Execute(pl)
+		res, err := p.ExecuteWith(context.Background(), pl, exec.Options{})
 		if err != nil {
 			report.Mismatches = append(report.Mismatches, fmt.Sprintf("plan %s failed: %v", r, err))
 			return nil

@@ -153,14 +153,6 @@ type Expr struct {
 	Join      *JoinSpec
 	Lookup    *LookupSpec
 	SortOrder algebra.Ordering // Sort enforcer
-
-	// LocalCost is the operator's own cost contribution, excluding
-	// children; filled in by the cost package after construction.
-	// LocalCostValid marks it as filled: costing a plan then reuses the
-	// memoized value instead of re-deriving it per plan — the hot
-	// sampling loops cost thousands of plans over the same operators.
-	LocalCost      float64
-	LocalCostValid bool
 }
 
 // IsEnforcer reports whether the expression is a property enforcer.
@@ -199,10 +191,6 @@ type Group struct {
 
 	Exprs    []*Expr // all operators in creation order
 	Physical []*Expr // physical operators only, in creation order
-
-	// Card is the estimated output cardinality (rows), set by the cost
-	// package; it is a property of the group, not of any operator.
-	Card float64
 
 	// InterestingOrders collects the orderings some parent operator
 	// requires of this group; the optimizer adds one Sort enforcer per
@@ -368,21 +356,23 @@ func (m *Memo) Stats() Stats {
 	return s
 }
 
-// Dump renders the memo in a Figure 2-like textual form: one line per
-// group, operators named group.local with child group references.
-func (m *Memo) Dump() string { return m.DumpAnnotated(nil) }
+// Dump renders the memo's structure in a Figure 2-like textual form:
+// one line per group, operators named group.local with child group
+// references.
+func (m *Memo) Dump() string { return m.dump(nil) }
 
-// DumpAnnotated is Dump with cardinalities injected from a cost
-// overlay (spaces prepared through the engine's two-tier cache carry
-// cards in the overlay, not in the memo). A nil cardOf falls back to
-// the memo's own annotation field.
-func (m *Memo) DumpAnnotated(cardOf func(*Group) float64) string {
-	if cardOf == nil {
-		cardOf = func(g *Group) float64 { return g.Card }
-	}
+// DumpAnnotated is Dump with each group's estimated cardinality read
+// from a cost overlay (cards live in the overlay, not in the memo).
+func (m *Memo) DumpAnnotated(cardOf func(*Group) float64) string { return m.dump(cardOf) }
+
+func (m *Memo) dump(cardOf func(*Group) float64) string {
 	var sb strings.Builder
 	for _, g := range m.Groups {
-		fmt.Fprintf(&sb, "Group %d (%s, rels=%s, card=%.0f):\n", g.ID, g.Kind, g.RelSet, cardOf(g))
+		fmt.Fprintf(&sb, "Group %d (%s, rels=%s", g.ID, g.Kind, g.RelSet)
+		if cardOf != nil {
+			fmt.Fprintf(&sb, ", card=%.0f", cardOf(g))
+		}
+		sb.WriteString("):\n")
 		for _, e := range g.Exprs {
 			fmt.Fprintf(&sb, "  %-6s %-28s", e.Name(), e.Describe())
 			if len(e.Children) > 0 {

@@ -9,12 +9,8 @@
 // attaches the latter as an immutable overlay (cost.Tables) without
 // mutating the shared memo, so any number of costings — different
 // parameters, different statistics, different feedback epochs — can
-// coexist over one counted structure.
-//
-// Optimize remains the one-shot compatibility path: it builds a private
-// structure, costs it, and additionally writes the classic annotation
-// fields (memo.Group.Card, memo.Expr.LocalCost) into its own memo —
-// safe only because that memo is not shared.
+// coexist over one counted structure. Optimize is the one-shot
+// composition of the two.
 package opt
 
 import (
@@ -112,7 +108,7 @@ func costMemo(q *algebra.Query, m *memo.Memo, sk *skeleton, params cost.Params, 
 	tab := cost.NewTables(m)
 	fillCards(m, est, tab)
 	model := cost.NewModelWith(est, tab)
-	if err := fillLocalCosts(m, model, tab); err != nil {
+	if err := model.FillLocals(m); err != nil {
 		return nil, err
 	}
 
@@ -176,22 +172,6 @@ func fillCards(m *memo.Memo, est *cost.Estimator, tab *cost.Tables) {
 	}
 }
 
-// fillLocalCosts fills each physical operator's local cost in the
-// overlay; plan costs are computed recursively by the model, not by
-// summing these.
-func fillLocalCosts(m *memo.Memo, model *cost.Model, tab *cost.Tables) error {
-	for _, g := range m.Groups {
-		for _, e := range g.Physical {
-			lc, err := model.Local(e)
-			if err != nil {
-				return err
-			}
-			tab.Locals[e.ID] = lc
-		}
-	}
-	return nil
-}
-
 // Result is the outcome of the one-shot Optimize path: the expanded
 // MEMO, the cost overlay's estimator/model, and the optimal plan —
 // the classic façade tests and tools program against. The Costing field
@@ -221,10 +201,7 @@ func NewResult(st *Structure, c *Costing) *Result {
 }
 
 // Optimize expands, costs, and solves the search space for q in one
-// shot over a private memo. For compatibility with annotation readers
-// (memo dumps, bare cost models) it also writes the classic Card and
-// LocalCost fields into its memo — which is safe here and only here,
-// because the memo is freshly built and unshared.
+// shot over a private memo.
 func Optimize(q *algebra.Query, opts Options) (*Result, error) {
 	st, err := BuildStructure(q, opts.Rules)
 	if err != nil {
@@ -233,13 +210,6 @@ func Optimize(q *algebra.Query, opts Options) (*Result, error) {
 	c, err := st.Cost(opts.Params, nil)
 	if err != nil {
 		return nil, err
-	}
-	for _, g := range st.Memo.Groups {
-		g.Card = c.Tables.CardOf(g)
-		for _, e := range g.Physical {
-			e.LocalCost = c.Tables.Locals[e.ID]
-			e.LocalCostValid = true
-		}
 	}
 	return NewResult(st, c), nil
 }

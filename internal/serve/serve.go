@@ -219,7 +219,7 @@ func (s *Server) prepare(w http.ResponseWriter, q QueryRequest) (*engine.Prepare
 type SpaceInfo struct {
 	Fingerprint   string `json:"fingerprint"`
 	Count         string `json:"count"`
-	Arithmetic    string `json:"arithmetic"` // "uint64", "wide", or "big"
+	Arithmetic    string `json:"arithmetic"` // "uint64" or "wide"
 	Cached        bool   `json:"cached"`
 	OverlayCached bool   `json:"overlay_cached"`
 }
@@ -411,20 +411,17 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusUnprocessableEntity, "sampler: %v", err)
 		return
 	}
-	switch {
-	case smp.Fast():
+	if smp.Fast() {
 		// The uint64 fast path: batched rank generation, arena-reused
 		// unranking, stack-reused costing. Beyond the response slices
 		// above, the loop allocates nothing per plan (the rank's decimal
 		// string is response encoding).
 		err = sampleFast(p, smp, ranks, costs, plans)
-	case smp.Wide():
+	} else {
 		// The wide limb tier — spaces beyond 2^64 plans: reused limb
 		// buffer, arena-reused wide unranking, allocation-free decimal
 		// rendering. Same steady-state profile as the fast path.
 		err = sampleWide(p, smp, ranks, costs, plans)
-	default:
-		err = sampleBig(p, smp, ranks, costs, plans)
 	}
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "sampling: %v", err)
@@ -523,28 +520,6 @@ func sampleWide(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []f
 			if plans != nil {
 				plans[off+i] = pl.String()
 			}
-		}
-	}
-	return nil
-}
-
-// sampleBig is the oracle fallback (spaces forced onto math/big):
-// plan-by-plan sampling through big.Int.
-func sampleBig(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
-	var costBuf plan.CostBuf
-	for i := range ranks {
-		rk, pl, err := smp.Next()
-		if err != nil {
-			return err
-		}
-		sc, err := p.ScaledCostWith(pl, &costBuf)
-		if err != nil {
-			return err
-		}
-		ranks[i] = rk.String()
-		costs[i] = sc
-		if plans != nil {
-			plans[i] = pl.String()
 		}
 	}
 	return nil

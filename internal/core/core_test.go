@@ -335,54 +335,3 @@ func TestPrepareRequiresRoot(t *testing.T) {
 		t.Error("Prepare on rootless memo succeeded")
 	}
 }
-
-// TestSampleParallelDeterministicAndValid: parallel sampling returns the
-// same plans for the same (seed, k, workers) and every plan validates.
-func TestSampleParallel(t *testing.T) {
-	s, _ := prepared(t, starQuery)
-	a, err := s.SampleParallel(11, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.SampleParallel(11, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 64 || len(b) != 64 {
-		t.Fatalf("sizes: %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		if err := a[i].Validate(); err != nil {
-			t.Fatalf("plan %d invalid: %v", i, err)
-		}
-		if a[i].Digest() != b[i].Digest() {
-			t.Fatalf("parallel sampling not deterministic at %d", i)
-		}
-	}
-	// Different worker counts partition the index space differently and
-	// may give different (but still valid, uniform) draws; serial path
-	// must equal Sampler.Sample.
-	serial, err := s.SampleParallel(11, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp, err := s.NewSampler(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := smp.Sample(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Digest() != direct[i].Digest() {
-			t.Fatal("workers=1 path differs from plain sampler")
-		}
-	}
-	if _, err := s.SampleParallel(1, -1, 2); err == nil {
-		t.Error("negative k accepted")
-	}
-	if empty, err := s.SampleParallel(1, 0, 4); err != nil || len(empty) != 0 {
-		t.Errorf("k=0: %v, %d plans", err, len(empty))
-	}
-}

@@ -84,24 +84,6 @@ func refStream(t *testing.T, s *Space, ref *refSpace, seed int64, n int) []*big.
 	return out
 }
 
-// refSampleParallel is SampleParallel's contract on the reference:
-// worker w fills its region from a sampler seeded DeriveSeed(seed, w).
-func refSampleParallel(t *testing.T, ref *refSpace, seed int64, k, workers int) []*plan.Node {
-	t.Helper()
-	out := make([]*plan.Node, k)
-	for w := 0; w < workers; w++ {
-		rs := ref.NewSampler(DeriveSeed(seed, w))
-		for i := w * k / workers; i < (w+1)*k/workers; i++ {
-			p, err := ref.Unrank(rs.NextRank())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = p
-		}
-	}
-	return out
-}
-
 // TestDualPathDifferentialFixture runs the full differential suite on
 // the paper fixture against the reference: identical counts, identical
 // plans for every rank, bit-identical sample sequences, and agreeing
@@ -145,17 +127,6 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 
 	// Sample sequences: same seed, bit-identical ranks.
 	refStream(t, fast, ref, 99, 500)
-
-	// SampleParallel follows the reference's per-worker streams.
-	pf, err := fast.SampleParallel(7, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range refSampleParallel(t, ref, 7, 40, 4) {
-		if !plan.Equal(pf[i], want) {
-			t.Fatalf("SampleParallel diverges from the reference at %d", i)
-		}
-	}
 }
 
 // TestDualPathDifferentialStar repeats the differential checks on the

@@ -194,3 +194,15 @@ func (smp *Sampler) Sample(k int) ([]*plan.Node, error) {
 	}
 	return out, nil
 }
+
+// DeriveSeed mixes a worker index into the base seed (splitmix64 step) so
+// workers draw independent streams. It is exported as the canonical
+// derivation for any caller that shards sampling across workers (e.g.
+// the experiments pipeline): using the same derivation keeps parallel
+// runs deterministic for a given (seed, k, workers) triple.
+func DeriveSeed(seed int64, worker int) int64 {
+	z := uint64(seed) + uint64(worker+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
+}

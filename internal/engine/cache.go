@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"container/list"
 	"encoding/binary"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -54,56 +52,19 @@ type CacheStats struct {
 	Shards []ShardStats `json:"shards,omitempty"`
 }
 
-// cacheEntry is one fingerprint's slot. It is inserted before the build
-// runs so that concurrent Prepare calls for the same fingerprint find it
-// and wait on ready instead of counting the space a second time
-// (singleflight semantics). After ready closes, space/err are immutable.
-type cacheEntry struct {
-	fp      Fingerprint
-	version uint64 // catalog schema version the space was built against
-	bytes   int64  // estimated size, set when the build completes
-	elem    *list.Element
-
-	ready chan struct{}
-	space *StructureSpace
-	err   error
-}
-
-// cacheShard is one shared-nothing slice of the cache: its own mutex,
-// entry map, LRU list, byte accounting, and counters. A fingerprint
-// maps to exactly one shard, so unrelated queries never contend on one
-// lock.
-type cacheShard struct {
-	mu       sync.Mutex
-	owner    *SpaceCache
-	cap      int
-	maxBytes int64 // 0 = unlimited
-	bytes    int64 // estimated bytes of ready entries
-	entries  map[Fingerprint]*cacheEntry
-	lru      *list.List // front = most recently used; values are *cacheEntry
-	version  uint64     // newest catalog schema version observed
-
-	// removed accumulates fingerprints dropped while the shard lock is
-	// held; callers drain it after unlocking and notify the cache's
-	// removal listeners (the overlay cache couples overlay lifetime to
-	// structure lifetime through this).
-	removed []Fingerprint
-
-	hits, misses, evictions, invalidations uint64
-}
-
 // SpaceCache is a concurrency-safe LRU of counted plan spaces keyed by
 // query fingerprint, sharded GOMAXPROCS ways by fingerprint prefix so
 // concurrent Prepare traffic for distinct queries takes distinct locks
-// (the ROADMAP's "shared-nothing shard per CPU"). Each shard collapses
-// concurrent misses for one fingerprint into a single build, evicts
-// least-recently-used spaces beyond its capacity and byte-budget slice,
-// and drops every stale space the moment it observes a newer catalog
-// schema version (table/column/index changes — a statistics refresh
-// only invalidates cost overlays, never structures). A single cache may
-// be shared by any number of Engines and Sessions.
+// (the ROADMAP's "shared-nothing shard per CPU"). Each shard is a
+// flightLRU: it collapses concurrent misses for one fingerprint into a
+// single build, evicts least-recently-used spaces beyond its capacity
+// and byte-budget slice, and drops every stale space the moment it
+// observes a newer catalog schema version (table/column/index changes —
+// a statistics refresh only invalidates cost overlays, never
+// structures). A single cache may be shared by any number of Engines
+// and Sessions.
 type SpaceCache struct {
-	shards []*cacheShard
+	shards []*flightLRU[*StructureSpace]
 
 	// version is the newest catalog schema version any caller has presented.
 	// A bump broadcasts invalidation to every shard immediately (see
@@ -129,18 +90,18 @@ type SpaceCache struct {
 // NewSpaceCache returns a cache holding at most capacity counted spaces
 // and at most DefaultCacheBytes of estimated space memory, sharded
 // GOMAXPROCS ways (capped so every shard keeps at least one entry of
-// capacity); capacities below one are clamped to one. Adjust or disable
+// capacity — capacity 1 yields one shard with globally exact LRU
+// order); capacities below one are clamped to one. Adjust or disable
 // the byte budget with SetByteBudget.
 func NewSpaceCache(capacity int) *SpaceCache {
-	return NewSpaceCacheSharded(capacity, runtime.GOMAXPROCS(0))
+	return newSpaceCacheSharded(capacity, runtime.GOMAXPROCS(0))
 }
 
-// NewSpaceCacheSharded is NewSpaceCache with an explicit shard count —
-// 1 yields the classic single-lock cache with globally exact LRU order
-// (tests and tiny deployments); more shards trade LRU exactness across
-// shards for lock locality. The capacity and the byte budget are split
-// evenly across shards.
-func NewSpaceCacheSharded(capacity, shards int) *SpaceCache {
+// newSpaceCacheSharded is NewSpaceCache with an explicit shard count —
+// 1 yields a single-lock cache with globally exact LRU order; more
+// shards trade LRU exactness across shards for lock locality. The
+// capacity and the byte budget are split evenly across shards.
+func newSpaceCacheSharded(capacity, shards int) *SpaceCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -150,17 +111,11 @@ func NewSpaceCacheSharded(capacity, shards int) *SpaceCache {
 	if shards > capacity {
 		shards = capacity // every shard must hold at least one entry
 	}
-	c := &SpaceCache{shards: make([]*cacheShard, shards)}
+	c := &SpaceCache{shards: make([]*flightLRU[*StructureSpace], shards)}
 	per := (capacity + shards - 1) / shards
 	perBytes := int64(DefaultCacheBytes) / int64(shards)
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			owner:    c,
-			cap:      per,
-			maxBytes: perBytes,
-			entries:  make(map[Fingerprint]*cacheEntry),
-			lru:      list.New(),
-		}
+		c.shards[i] = newFlightLRU[*StructureSpace]("space", per, perBytes, c.notifyRemoved)
 	}
 	return c
 }
@@ -170,8 +125,7 @@ func NewSpaceCacheSharded(capacity, shards int) *SpaceCache {
 // Re-registering an existing key replaces its listener instead of
 // accumulating — engine.New uses the engine's OverlayCache as the key,
 // so engine churn over shared caches keeps exactly one listener per
-// distinct overlay cache. RemoveListener drops a key (callers retiring
-// a shared cache's engine should pair the two).
+// distinct overlay cache.
 func (c *SpaceCache) AddRemoveListener(key any, fn func(Fingerprint)) {
 	c.listenerMu.Lock()
 	if c.listeners == nil {
@@ -181,19 +135,9 @@ func (c *SpaceCache) AddRemoveListener(key any, fn func(Fingerprint)) {
 	c.listenerMu.Unlock()
 }
 
-// RemoveListener unregisters the listener stored under key.
-func (c *SpaceCache) RemoveListener(key any) {
-	c.listenerMu.Lock()
-	delete(c.listeners, key)
-	c.listenerMu.Unlock()
-}
-
 // notifyRemoved fans dropped fingerprints out to the listeners. Must
 // be called without any shard lock held.
 func (c *SpaceCache) notifyRemoved(fps []Fingerprint) {
-	if len(fps) == 0 {
-		return
-	}
 	c.listenerMu.Lock()
 	listeners := make([]func(Fingerprint), 0, len(c.listeners))
 	for _, fn := range c.listeners {
@@ -207,26 +151,15 @@ func (c *SpaceCache) notifyRemoved(fps []Fingerprint) {
 	}
 }
 
-// drainRemovedLocked hands back the shard's pending removal
-// notifications (call while holding sh.mu; notify after unlocking).
-func (sh *cacheShard) drainRemovedLocked() []Fingerprint {
-	fps := sh.removed
-	sh.removed = nil
-	return fps
-}
-
 // shardFor routes a fingerprint to its shard by prefix. The fingerprint
 // is a SHA-256 digest, so the first eight bytes are uniformly
 // distributed and any shard count divides the traffic evenly.
-func (c *SpaceCache) shardFor(fp Fingerprint) *cacheShard {
+func (c *SpaceCache) shardFor(fp Fingerprint) *flightLRU[*StructureSpace] {
 	if len(c.shards) == 1 {
 		return c.shards[0]
 	}
 	return c.shards[binary.LittleEndian.Uint64(fp[:8])%uint64(len(c.shards))]
 }
-
-// Shards reports the shard count.
-func (c *SpaceCache) Shards() int { return len(c.shards) }
 
 // SetByteBudget replaces the cache's byte budget (0 disables byte-based
 // eviction entirely), splitting it evenly across shards, and
@@ -237,12 +170,7 @@ func (c *SpaceCache) SetByteBudget(n int64) {
 		per = 1 // a tiny but non-zero budget must still evict
 	}
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.maxBytes = per
-		sh.evictLocked()
-		removed := sh.drainRemovedLocked()
-		sh.mu.Unlock()
-		c.notifyRemoved(removed)
+		sh.setByteBudget(per)
 	}
 }
 
@@ -254,25 +182,11 @@ func (c *SpaceCache) Stats() CacheStats {
 		Arithmetic: make(map[string]int),
 	}
 	for i, sh := range c.shards {
-		sh.mu.Lock()
-		s := ShardStats{
-			Hits:          sh.hits,
-			Misses:        sh.misses,
-			Evictions:     sh.evictions,
-			Invalidations: sh.invalidations,
-			Entries:       len(sh.entries),
-			BytesCached:   sh.bytes,
-		}
-		for _, e := range sh.entries {
-			select {
-			case <-e.ready:
-				if e.err == nil && e.space != nil && e.space.Space != nil {
-					st.Arithmetic[e.space.Space.Arithmetic()]++
-				}
-			default: // still building; tier unknown
+		s, budget := sh.stats(func(ss *StructureSpace) {
+			if ss != nil && ss.Space != nil {
+				st.Arithmetic[ss.Space.Arithmetic()]++
 			}
-		}
-		sh.mu.Unlock()
+		})
 		st.Shards[i] = s
 		st.Hits += s.Hits
 		st.Misses += s.Misses
@@ -281,7 +195,7 @@ func (c *SpaceCache) Stats() CacheStats {
 		st.Entries += s.Entries
 		st.BytesCached += s.BytesCached
 		st.Capacity += sh.cap
-		st.ByteBudget += sh.maxBytes
+		st.ByteBudget += budget
 	}
 	if len(st.Arithmetic) == 0 {
 		st.Arithmetic = nil
@@ -293,7 +207,8 @@ func (c *SpaceCache) Stats() CacheStats {
 // older than version, across all shards. The fingerprint already embeds
 // the version, so stale entries could never be returned — invalidation
 // exists to release their memory promptly instead of waiting for LRU
-// pressure.
+// pressure. A stale build still in flight completes for its waiters
+// but is not cached.
 func (c *SpaceCache) Invalidate(version uint64) {
 	for {
 		v := c.version.Load()
@@ -305,11 +220,7 @@ func (c *SpaceCache) Invalidate(version uint64) {
 		}
 	}
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.invalidateLocked(version)
-		removed := sh.drainRemovedLocked()
-		sh.mu.Unlock()
-		c.notifyRemoved(removed)
+		sh.invalidate([2]uint64{version})
 	}
 }
 
@@ -326,122 +237,5 @@ func (c *SpaceCache) GetOrBuild(fp Fingerprint, version uint64, build func() (*S
 	if version > c.version.Load() {
 		c.Invalidate(version)
 	}
-	return c.shardFor(fp).getOrBuild(fp, version, build)
-}
-
-func (sh *cacheShard) getOrBuild(fp Fingerprint, version uint64, build func() (*StructureSpace, error)) (*StructureSpace, bool, error) {
-	sh.mu.Lock()
-	sh.invalidateLocked(version)
-	if e, ok := sh.entries[fp]; ok {
-		sh.hits++
-		sh.lru.MoveToFront(e.elem)
-		removed := sh.drainRemovedLocked()
-		sh.mu.Unlock()
-		sh.owner.notifyRemoved(removed)
-		<-e.ready
-		return e.space, true, e.err
-	}
-	e := &cacheEntry{fp: fp, version: version, ready: make(chan struct{})}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[fp] = e
-	sh.misses++
-	sh.evictLocked()
-	removed := sh.drainRemovedLocked()
-	sh.mu.Unlock()
-	sh.owner.notifyRemoved(removed)
-
-	space, err := sh.runBuild(e, build)
-	return space, false, err
-}
-
-func (sh *cacheShard) invalidateLocked(version uint64) {
-	if version <= sh.version {
-		return
-	}
-	sh.version = version
-	for _, e := range sh.entries {
-		if e.version >= version {
-			continue
-		}
-		select {
-		case <-e.ready:
-		default:
-			continue // still building; its builder removes it on error, LRU handles the rest
-		}
-		sh.removeLocked(e)
-		sh.invalidations++
-	}
-}
-
-// removeLocked drops an entry from the map, the LRU, and the byte
-// accounting (in-flight entries carry zero bytes until they complete),
-// and queues the removal notification.
-func (sh *cacheShard) removeLocked(e *cacheEntry) {
-	delete(sh.entries, e.fp)
-	sh.lru.Remove(e.elem)
-	sh.bytes -= e.bytes
-	sh.removed = append(sh.removed, e.fp)
-}
-
-// runBuild executes build and completes the entry — on success, on
-// error, and on panic alike. The completion must not be skipped: an
-// entry whose ready channel never closes would wedge every current and
-// future waiter on its fingerprint (net/http recovers handler panics,
-// so the server would otherwise keep running with a poisoned slot).
-func (sh *cacheShard) runBuild(e *cacheEntry, build func() (*StructureSpace, error)) (space *StructureSpace, err error) {
-	finished := false
-	defer func() {
-		if !finished {
-			// build panicked; fail the entry for everyone waiting and
-			// let the panic propagate to this caller.
-			err = fmt.Errorf("engine: space build panicked for fingerprint %s", e.fp)
-		}
-		sh.mu.Lock()
-		e.space, e.err = space, err
-		close(e.ready)
-		if err != nil {
-			// Failed builds are not cached — but only remove the entry
-			// if it still owns the slot (it may already have been
-			// LRU-evicted or invalidated).
-			if cur, ok := sh.entries[e.fp]; ok && cur == e {
-				sh.removeLocked(e)
-			}
-		} else if cur, ok := sh.entries[e.fp]; ok && cur == e {
-			// The size is only known now that the space exists: charge
-			// it and shed colder entries if the budget is blown.
-			e.bytes = space.SizeBytes()
-			sh.bytes += e.bytes
-			sh.evictLocked()
-		}
-		removed := sh.drainRemovedLocked()
-		sh.mu.Unlock()
-		sh.owner.notifyRemoved(removed)
-	}()
-	space, err = build()
-	finished = true
-	return space, err
-}
-
-// evictLocked trims the LRU while the shard exceeds its entry cap or
-// byte-budget slice, skipping entries whose build is still in flight
-// (their waiters hold references; evicting a completed space only drops
-// the cache's reference — concurrent readers of an evicted space keep
-// working on their copy of the pointer). The most-recently-used entry
-// is never evicted: a single space bigger than the whole byte budget
-// stays cached alone rather than being rebuilt on every request.
-func (sh *cacheShard) evictLocked() {
-	over := func() bool {
-		return len(sh.entries) > sh.cap || (sh.maxBytes > 0 && sh.bytes > sh.maxBytes)
-	}
-	for elem := sh.lru.Back(); elem != nil && elem != sh.lru.Front() && over(); {
-		prev := elem.Prev()
-		e := elem.Value.(*cacheEntry)
-		select {
-		case <-e.ready:
-			sh.removeLocked(e)
-			sh.evictions++
-		default:
-		}
-		elem = prev
-	}
+	return c.shardFor(fp).getOrBuild(fp, Fingerprint{}, [2]uint64{version}, build)
 }

@@ -17,110 +17,190 @@ func fp(b byte) Fingerprint {
 	return f
 }
 
-// TestCacheSingleflight: concurrent GetOrBuild calls for one fingerprint
-// run the builder exactly once and share the resulting space.
-func TestCacheSingleflight(t *testing.T) {
-	c := NewSpaceCache(4)
-	var builds atomic.Int64
-	want := &StructureSpace{}
-	const goroutines = 32
+// tierCache adapts one cache tier to the contract both tiers share
+// through flightLRU, so each contract test runs over both. get runs f
+// inside the build and, unless f fails, returns a fresh value; doom
+// invalidates (structure tier) or drops (overlay tier) every entry
+// built so far.
+type tierCache struct {
+	get   func(key byte, f func() error) (val any, cached bool, err error)
+	stats func() ShardStats
+	doom  func()
+}
 
-	var wg sync.WaitGroup
-	spaces := make([]*StructureSpace, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ps, _, err := c.GetOrBuild(fp(1), 1, func() (*StructureSpace, error) {
-				builds.Add(1)
-				time.Sleep(20 * time.Millisecond) // widen the race window
-				return want, nil
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			spaces[i] = ps
-		}(i)
-	}
-	wg.Wait()
-
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("builder ran %d times for one fingerprint, want 1", n)
-	}
-	for i, ps := range spaces {
-		if ps != want {
-			t.Fatalf("goroutine %d got a different space", i)
+var cacheTiers = []struct {
+	name string
+	open func(capacity int) tierCache
+}{
+	{"structure", func(capacity int) tierCache {
+		// One shard: LRU order must be globally exact.
+		c := newSpaceCacheSharded(capacity, 1)
+		return tierCache{
+			get: func(key byte, f func() error) (any, bool, error) {
+				v, cached, err := c.GetOrBuild(fp(key), 1, func() (*StructureSpace, error) {
+					if err := f(); err != nil {
+						return nil, err
+					}
+					return &StructureSpace{}, nil
+				})
+				return v, cached, err
+			},
+			stats: func() ShardStats { return c.Stats().Shards[0] },
+			doom:  func() { c.Invalidate(2) },
 		}
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != goroutines-1 {
-		t.Errorf("stats = %+v, want 1 miss and %d hits", st, goroutines-1)
+	}},
+	{"overlay", func(capacity int) tierCache {
+		c := NewOverlayCache(capacity)
+		return tierCache{
+			get: func(key byte, f func() error) (any, bool, error) {
+				v, cached, err := c.GetOrBuild(fp(key), fp(0), 1, 1, func() (*CostOverlay, error) {
+					if err := f(); err != nil {
+						return nil, err
+					}
+					return &CostOverlay{}, nil
+				})
+				return v, cached, err
+			},
+			stats: func() ShardStats {
+				st := c.Stats()
+				return ShardStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+					Invalidations: st.Invalidations, Entries: st.Entries, BytesCached: st.BytesCached}
+			},
+			doom: func() { c.DropStructure(fp(0)) },
+		}
+	}},
+}
+
+// TestCacheSingleflight: concurrent GetOrBuild calls for one fingerprint
+// run the builder exactly once and share the resulting value.
+func TestCacheSingleflight(t *testing.T) {
+	for _, tier := range cacheTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			c := tier.open(4)
+			var builds atomic.Int64
+			const goroutines = 32
+
+			var wg sync.WaitGroup
+			vals := make([]any, goroutines)
+			for i := 0; i < goroutines; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					v, _, err := c.get(1, func() error {
+						builds.Add(1)
+						time.Sleep(20 * time.Millisecond) // widen the race window
+						return nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					vals[i] = v
+				}(i)
+			}
+			wg.Wait()
+
+			if n := builds.Load(); n != 1 {
+				t.Fatalf("builder ran %d times for one fingerprint, want 1", n)
+			}
+			for i, v := range vals {
+				if v != vals[0] {
+					t.Fatalf("goroutine %d got a different value", i)
+				}
+			}
+			st := c.stats()
+			if st.Misses != 1 || st.Hits != goroutines-1 {
+				t.Errorf("stats = %+v, want 1 miss and %d hits", st, goroutines-1)
+			}
+		})
 	}
 }
 
 // TestCacheLRUEviction: beyond the capacity the least-recently-used
-// space is dropped; touching an entry protects it.
+// entry is dropped; touching an entry protects it.
 func TestCacheLRUEviction(t *testing.T) {
-	// One shard: LRU order must be globally exact for this test.
-	c := NewSpaceCacheSharded(2, 1)
-	get := func(b byte) (*StructureSpace, bool) {
-		t.Helper()
-		ps, cached, err := c.GetOrBuild(fp(b), 1, func() (*StructureSpace, error) {
-			return &StructureSpace{}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps, cached
-	}
+	for _, tier := range cacheTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			c := tier.open(2)
+			get := func(b byte) bool {
+				t.Helper()
+				_, cached, err := c.get(b, func() error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cached
+			}
 
-	get(1)
-	get(2)
-	get(3) // evicts 1
-	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("after third insert: %+v, want 2 entries, 1 eviction", st)
-	}
-	if _, cached := get(1); cached {
-		t.Error("fingerprint 1 should have been evicted")
-	}
-	// Reinserting 1 evicted 2 (the LRU of [3, 2]); 3 must survive.
-	if _, cached := get(3); !cached {
-		t.Error("fingerprint 3 should still be resident")
-	}
-	// Touch 1, insert 4: the untouched 3 goes, 1 stays.
-	get(1)
-	get(4)
-	if _, cached := get(1); !cached {
-		t.Error("recently used fingerprint 1 was evicted")
+			get(1)
+			get(2)
+			get(3) // evicts 1
+			if st := c.stats(); st.Entries != 2 || st.Evictions != 1 {
+				t.Fatalf("after third insert: %+v, want 2 entries, 1 eviction", st)
+			}
+			if get(1) {
+				t.Error("fingerprint 1 should have been evicted")
+			}
+			// Reinserting 1 evicted 2 (the LRU of [3, 2]); 3 must survive.
+			if !get(3) {
+				t.Error("fingerprint 3 should still be resident")
+			}
+			// Touch 1, insert 4: the untouched 3 goes, 1 stays.
+			get(1)
+			get(4)
+			if !get(1) {
+				t.Error("recently used fingerprint 1 was evicted")
+			}
+			// A build in flight is never evicted, even as the LRU entry.
+			started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				c.get(5, func() error {
+					close(started)
+					<-release
+					return nil
+				})
+			}()
+			<-started
+			get(6)
+			get(7) // 5 is the LRU entry but still in flight: 6 goes
+			close(release)
+			<-done
+			if !get(5) {
+				t.Error("in-flight fingerprint 5 was evicted")
+			}
+		})
 	}
 }
 
 // TestCacheErrorNotCached: a failed build is reported to the caller and
 // retried on the next request rather than cached.
 func TestCacheErrorNotCached(t *testing.T) {
-	c := NewSpaceCache(2)
-	boom := errors.New("bind failed")
-	var builds int
-	_, _, err := c.GetOrBuild(fp(9), 1, func() (*StructureSpace, error) {
-		builds++
-		return nil, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("failed build left %d entries", st.Entries)
-	}
-	ps, _, err := c.GetOrBuild(fp(9), 1, func() (*StructureSpace, error) {
-		builds++
-		return &StructureSpace{}, nil
-	})
-	if err != nil || ps == nil {
-		t.Fatalf("retry failed: %v", err)
-	}
-	if builds != 2 {
-		t.Errorf("builds = %d, want 2 (error must not be cached)", builds)
+	for _, tier := range cacheTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			c := tier.open(2)
+			boom := errors.New("bind failed")
+			var builds int
+			_, _, err := c.get(9, func() error {
+				builds++
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want %v", err, boom)
+			}
+			if st := c.stats(); st.Entries != 0 {
+				t.Fatalf("failed build left %d entries", st.Entries)
+			}
+			v, _, err := c.get(9, func() error {
+				builds++
+				return nil
+			})
+			if err != nil || v == nil {
+				t.Fatalf("retry failed: %v", err)
+			}
+			if builds != 2 {
+				t.Errorf("builds = %d, want 2 (error must not be cached)", builds)
+			}
+		})
 	}
 }
 
@@ -129,7 +209,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 func TestCacheInvalidation(t *testing.T) {
 	// One shard for exact counter expectations; the cross-shard
 	// broadcast case is TestCacheShardedInvalidation.
-	c := NewSpaceCacheSharded(8, 1)
+	c := newSpaceCacheSharded(8, 1)
 	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
 	if _, _, err := c.GetOrBuild(fp(1), 1, build); err != nil {
 		t.Fatal(err)
@@ -163,47 +243,91 @@ func TestCacheInvalidation(t *testing.T) {
 // closing ready for any waiters and freeing the slot — instead of
 // leaving every future caller of the fingerprint blocked forever.
 func TestCachePanicDoesNotWedge(t *testing.T) {
-	c := NewSpaceCache(2)
-	release := make(chan struct{})
-	waiterErr := make(chan error, 1)
-	go func() {
-		// Arrive once the panicking build is in flight. Almost always
-		// this call blocks on the in-flight entry and must receive its
-		// error; if scheduling delays it past the cleanup it builds
-		// fresh and succeeds — either way it must return promptly
-		// rather than wedge.
-		<-release
-		_, _, err := c.GetOrBuild(fp(5), 1, func() (*StructureSpace, error) {
-			return &StructureSpace{}, nil
-		})
-		waiterErr <- err
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the building caller")
+	for _, tier := range cacheTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			c := tier.open(2)
+			release := make(chan struct{})
+			waiterErr := make(chan error, 1)
+			go func() {
+				// Arrive once the panicking build is in flight. Almost
+				// always this call blocks on the in-flight entry and
+				// must receive its error; if scheduling delays it past
+				// the cleanup it builds fresh and succeeds — either way
+				// it must return promptly rather than wedge.
+				<-release
+				_, _, err := c.get(5, func() error { return nil })
+				waiterErr <- err
+			}()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("panic did not propagate to the building caller")
+					}
+				}()
+				c.get(5, func() error {
+					close(release) // the waiter may now pile on
+					time.Sleep(50 * time.Millisecond)
+					panic("bind exploded")
+				})
+			}()
+			select {
+			case <-waiterErr: // returned — with the build error or a fresh build
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter wedged on a panicked build")
 			}
-		}()
-		c.GetOrBuild(fp(5), 1, func() (*StructureSpace, error) {
-			close(release) // the waiter may now pile on
-			time.Sleep(50 * time.Millisecond)
-			panic("bind exploded")
+			// The slot is free: the next call rebuilds successfully.
+			v, _, err := c.get(5, func() error { return nil })
+			if err != nil || v == nil {
+				t.Fatalf("rebuild after panic failed: %v", err)
+			}
+			if st := c.stats(); st.Entries != 1 {
+				t.Errorf("entries = %d after recovery, want 1", st.Entries)
+			}
 		})
-	}()
-	select {
-	case <-waiterErr: // returned — with the build error or a fresh build
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter wedged on a panicked build")
 	}
-	// The slot is free: the next call rebuilds successfully.
-	ps, _, err := c.GetOrBuild(fp(5), 1, func() (*StructureSpace, error) {
-		return &StructureSpace{}, nil
-	})
-	if err != nil || ps == nil {
-		t.Fatalf("rebuild after panic failed: %v", err)
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Errorf("entries = %d after recovery, want 1", st.Entries)
+}
+
+// TestCacheDoomedBuildNotCached: a build still in flight when its entry
+// is invalidated (structure tier: a schema-version bump) or dropped
+// (overlay tier: its structure left the cache) is doomed — its waiters
+// still receive the value, but it is not cached, so it cannot stay
+// resident where no caller can ask for it.
+func TestCacheDoomedBuildNotCached(t *testing.T) {
+	for _, tier := range cacheTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			c := tier.open(4)
+			started, release := make(chan struct{}), make(chan struct{})
+			vals := make(chan any, 2)
+			get := func(f func() error) {
+				v, _, err := c.get(1, f)
+				if err != nil {
+					t.Error(err)
+				}
+				vals <- v
+			}
+			go get(func() error {
+				close(started)
+				<-release
+				return nil
+			})
+			<-started
+			go get(func() error {
+				t.Error("a second build ran for an in-flight fingerprint")
+				return nil
+			})
+			for c.stats().Hits == 0 { // the waiter has joined the build
+				time.Sleep(time.Millisecond)
+			}
+			c.doom()
+			close(release)
+			a, b := <-vals, <-vals
+			if a == nil || a != b {
+				t.Fatalf("waiters got %v and %v, want one shared value", a, b)
+			}
+			if st := c.stats(); st.Entries != 0 || st.BytesCached != 0 || st.Invalidations != 1 {
+				t.Errorf("doomed build was cached: %+v, want 0 entries, 0 bytes, 1 invalidation", st)
+			}
+		})
 	}
 }
 
@@ -212,7 +336,7 @@ func TestCachePanicDoesNotWedge(t *testing.T) {
 // canonical SQL length (SizeBytes = fixed overhead + len(Canonical) for
 // a space-less StructureSpace).
 func TestCacheByteBudgetEviction(t *testing.T) {
-	c := NewSpaceCacheSharded(100, 1) // one shard: byte eviction order must be exact
+	c := newSpaceCacheSharded(100, 1) // one shard: byte eviction order must be exact
 	entry := func(b byte, canonLen int) (*StructureSpace, bool) {
 		t.Helper()
 		ps, cached, err := c.GetOrBuild(fp(b), 1, func() (*StructureSpace, error) {
@@ -287,10 +411,7 @@ func TestCacheBytesAccounting(t *testing.T) {
 // correctly, and splits capacity so the total never drops below the
 // requested one.
 func TestCacheShardDistribution(t *testing.T) {
-	c := NewSpaceCacheSharded(64, 4)
-	if c.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", c.Shards())
-	}
+	c := newSpaceCacheSharded(64, 4)
 	var fps []Fingerprint
 	for i := 0; i < 32; i++ {
 		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
@@ -340,7 +461,7 @@ func TestCacheShardDistribution(t *testing.T) {
 // least the accessed shard while fingerprint-embedded versions keep
 // stale spaces unreachable everywhere.
 func TestCacheShardedInvalidation(t *testing.T) {
-	c := NewSpaceCacheSharded(64, 8)
+	c := newSpaceCacheSharded(64, 8)
 	var fps []Fingerprint
 	for i := 0; i < 24; i++ {
 		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
@@ -374,7 +495,7 @@ func TestCacheShardedInvalidation(t *testing.T) {
 // TestCacheShardedSingleflight: concurrent misses for many fingerprints
 // across shards still build each space exactly once.
 func TestCacheShardedSingleflight(t *testing.T) {
-	c := NewSpaceCacheSharded(64, 8)
+	c := newSpaceCacheSharded(64, 8)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -403,7 +524,7 @@ func TestCacheShardedSingleflight(t *testing.T) {
 // TestCacheShardedByteBudget: SetByteBudget splits across shards and
 // still evicts; zero disables byte eviction on every shard.
 func TestCacheShardedByteBudget(t *testing.T) {
-	c := NewSpaceCacheSharded(100, 4)
+	c := newSpaceCacheSharded(100, 4)
 	one := (&StructureSpace{}).SizeBytes()
 	c.SetByteBudget(4 * (one + one/2)) // about 1.5 entries of budget per shard
 	var fps []Fingerprint

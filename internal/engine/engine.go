@@ -58,7 +58,6 @@ type settings struct {
 	opts     opt.Options
 	cache    *SpaceCache
 	overlays *OverlayCache
-	fb       *feedback.Store
 }
 
 // Option configures an Engine (and, for the optimizer-facing options,
@@ -98,13 +97,6 @@ func WithOverlayCache(c *OverlayCache) Option {
 	return func(s *settings) { s.overlays = c }
 }
 
-// WithFeedbackStore injects a shared feedback store (engines over one
-// catalog should share one store; the default is a private store per
-// engine).
-func WithFeedbackStore(fb *feedback.Store) Option {
-	return func(s *settings) { s.fb = fb }
-}
-
 // Engine plans and executes queries over one database. It owns the
 // structure cache, the overlay cache, and the feedback store shared by
 // all sessions derived from it.
@@ -117,8 +109,8 @@ type Engine struct {
 }
 
 // New returns an engine over db with the default full rule set and
-// private caches (inject shared ones with WithCache / WithOverlayCache /
-// WithFeedbackStore).
+// private caches (inject shared ones with WithCache / WithOverlayCache)
+// and a private feedback store.
 func New(db *storage.DB, options ...Option) *Engine {
 	s := settings{opts: opt.DefaultOptions()}
 	for _, o := range options {
@@ -130,9 +122,6 @@ func New(db *storage.DB, options ...Option) *Engine {
 	if s.overlays == nil {
 		s.overlays = NewOverlayCache(DefaultOverlayCapacity)
 	}
-	if s.fb == nil {
-		s.fb = feedback.NewStore()
-	}
 	// Overlays pin the memo of the structure they cost; dropping them
 	// whenever the structure cache drops the structure keeps the
 	// structure byte budget a real bound on resident memory. The
@@ -140,7 +129,7 @@ func New(db *storage.DB, options ...Option) *Engine {
 	// both caches (the recommended sharing shape) register exactly one
 	// listener no matter how many are created.
 	s.cache.AddRemoveListener(s.overlays, s.overlays.DropStructure)
-	return &Engine{db: db, opts: s.opts, cache: s.cache, overlays: s.overlays, fb: s.fb}
+	return &Engine{db: db, opts: s.opts, cache: s.cache, overlays: s.overlays, fb: feedback.NewStore()}
 }
 
 // DB returns the engine's database.
@@ -413,11 +402,6 @@ func (p *Prepared) OptimalRank() (*big.Int, error) { return p.Overlay.OptimalRan
 
 // Unrank returns plan number r.
 func (p *Prepared) Unrank(r *big.Int) (*plan.Node, error) { return p.Space.Unrank(r) }
-
-// UnrankInt is Unrank for small plan numbers.
-func (p *Prepared) UnrankInt(r int64) (*plan.Node, error) {
-	return p.Space.Unrank(big.NewInt(r))
-}
 
 // Sampler returns a deterministic uniform plan sampler.
 func (p *Prepared) Sampler(seed int64) (*core.Sampler, error) {

@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"container/list"
-	"fmt"
 	"math/big"
-	"sync"
 
 	"repro/internal/opt"
 )
@@ -54,123 +51,43 @@ type OverlayCacheStats struct {
 	BytesCached   int64  `json:"bytes_cached"`
 }
 
-// overlayEntry is one overlay fingerprint's slot, with the same
-// singleflight contract as the structure cache: inserted before the
-// build runs, ready closed when it completes, failed builds never
-// cached.
-type overlayEntry struct {
-	fp           Fingerprint
-	structure    Fingerprint // fingerprint of the StructureSpace the overlay costs
-	statsVersion uint64
-	epoch        uint64
-	bytes        int64
-	elem         *list.Element
-
-	ready   chan struct{}
-	overlay *CostOverlay
-	err     error
-
-	// doomed marks an in-flight build whose structure was dropped
-	// while it ran: the build's waiters still receive the overlay, but
-	// the completed entry is removed instead of cached, so it cannot
-	// pin the evicted structure's memo indefinitely.
-	doomed bool
-}
-
 // OverlayCache is a concurrency-safe LRU of cost overlays keyed by
-// overlay fingerprint. It is deliberately simpler than the sharded
-// SpaceCache: re-costing is milliseconds, entries are KBs, and the
-// common case is a handful of (cost params, stats version, feedback
-// epoch) combinations per structure. Entries older than the newest
-// observed statistics version or feedback epoch are dropped promptly —
-// their fingerprints embed both, so they could never be returned;
-// invalidation exists to release memory, exactly like the structure
-// cache's catalog invalidation.
-//
-// MAINTENANCE: this type intentionally mirrors cacheShard's
-// singleflight invariants (entry inserted before the build, ready
-// closed on success/error/panic alike, failed builds never cached,
-// in-flight and MRU entries never evicted, invalidation skips builds
-// in flight). A fix to either copy almost certainly applies to the
-// other — cache.go and this file must be changed together until the
-// machinery is extracted into one generic.
+// overlay fingerprint: one unsharded flightLRU. Re-costing is
+// milliseconds, entries are KBs, and the common case is a handful of
+// (cost params, stats version, feedback epoch) combinations per
+// structure, so one lock and an entry cap suffice. Entries older than
+// the newest observed statistics version or feedback epoch are dropped
+// promptly — their fingerprints embed both, so they could never be
+// returned; invalidation exists to release memory, exactly like the
+// structure cache's catalog invalidation.
 type OverlayCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[Fingerprint]*overlayEntry
-	lru     *list.List // front = most recently used; values are *overlayEntry
-	bytes   int64
-
-	statsVersion uint64 // newest observed
-	epoch        uint64 // newest observed
-
-	hits, misses, evictions, invalidations uint64
+	lru *flightLRU[*CostOverlay]
 }
 
 // NewOverlayCache returns a cache holding at most capacity overlays
 // (clamped to at least one).
 func NewOverlayCache(capacity int) *OverlayCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &OverlayCache{
-		cap:     capacity,
-		entries: make(map[Fingerprint]*overlayEntry),
-		lru:     list.New(),
-	}
+	return &OverlayCache{lru: newFlightLRU[*CostOverlay]("overlay", max(capacity, 1), 0, nil)}
 }
 
 // Stats snapshots the counters.
 func (c *OverlayCache) Stats() OverlayCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s, _ := c.lru.stats(nil)
 	return OverlayCacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Entries:       len(c.entries),
-		Capacity:      c.cap,
-		BytesCached:   c.bytes,
+		Hits:          s.Hits,
+		Misses:        s.Misses,
+		Evictions:     s.Evictions,
+		Invalidations: s.Invalidations,
+		Entries:       s.Entries,
+		Capacity:      c.lru.cap,
+		BytesCached:   s.BytesCached,
 	}
 }
 
 // Invalidate drops every overlay costed against an older statistics
 // version or feedback epoch than given.
 func (c *OverlayCache) Invalidate(statsVersion, epoch uint64) {
-	c.mu.Lock()
-	c.invalidateLocked(statsVersion, epoch)
-	c.mu.Unlock()
-}
-
-func (c *OverlayCache) invalidateLocked(statsVersion, epoch uint64) {
-	if statsVersion <= c.statsVersion && epoch <= c.epoch {
-		return
-	}
-	if statsVersion > c.statsVersion {
-		c.statsVersion = statsVersion
-	}
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	for _, e := range c.entries {
-		if e.statsVersion >= c.statsVersion && e.epoch >= c.epoch {
-			continue
-		}
-		select {
-		case <-e.ready:
-		default:
-			continue // still building; its builder removes it on error
-		}
-		c.removeLocked(e)
-		c.invalidations++
-	}
-}
-
-func (c *OverlayCache) removeLocked(e *overlayEntry) {
-	delete(c.entries, e.fp)
-	c.lru.Remove(e.elem)
-	c.bytes -= e.bytes
+	c.lru.invalidate([2]uint64{statsVersion, epoch})
 }
 
 // DropStructure removes every completed overlay costed over the given
@@ -178,22 +95,9 @@ func (c *OverlayCache) removeLocked(e *overlayEntry) {
 // removal listener, so overlays never outlive their structure — the
 // structure byte budget stays a real memory bound. In-flight builds
 // are doomed instead of removed: their waiters still get the overlay,
-// but runBuild drops the entry on completion rather than caching it.
+// but the entry is dropped on completion rather than cached.
 func (c *OverlayCache) DropStructure(structure Fingerprint) {
-	c.mu.Lock()
-	for _, e := range c.entries {
-		if e.structure != structure {
-			continue
-		}
-		select {
-		case <-e.ready:
-			c.removeLocked(e)
-			c.invalidations++
-		default:
-			e.doomed = true
-		}
-	}
-	c.mu.Unlock()
+	c.lru.dropParent(structure)
 }
 
 // GetOrBuild returns the overlay for fp (costing the structure
@@ -202,74 +106,5 @@ func (c *OverlayCache) DropStructure(structure Fingerprint) {
 // concurrent caller for the same fingerprint blocks until that build
 // finishes and shares the result. A failed build is not cached.
 func (c *OverlayCache) GetOrBuild(fp, structure Fingerprint, statsVersion, epoch uint64, build func() (*CostOverlay, error)) (*CostOverlay, bool, error) {
-	c.mu.Lock()
-	c.invalidateLocked(statsVersion, epoch)
-	if e, ok := c.entries[fp]; ok {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		<-e.ready
-		return e.overlay, true, e.err
-	}
-	e := &overlayEntry{fp: fp, structure: structure, statsVersion: statsVersion, epoch: epoch, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[fp] = e
-	c.misses++
-	c.evictLocked()
-	c.mu.Unlock()
-
-	ov, err := c.runBuild(e, build)
-	return ov, false, err
-}
-
-// runBuild executes build and completes the entry on success, error,
-// and panic alike (a never-closed ready channel would wedge every
-// waiter on this fingerprint).
-func (c *OverlayCache) runBuild(e *overlayEntry, build func() (*CostOverlay, error)) (ov *CostOverlay, err error) {
-	finished := false
-	defer func() {
-		if !finished {
-			err = fmt.Errorf("engine: overlay build panicked for fingerprint %s", e.fp)
-		}
-		c.mu.Lock()
-		e.overlay, e.err = ov, err
-		close(e.ready)
-		switch {
-		case err != nil || e.doomed:
-			// Failed builds are never cached; doomed builds (structure
-			// dropped mid-build) complete for their waiters but must
-			// not pin the evicted structure from the cache.
-			if cur, ok := c.entries[e.fp]; ok && cur == e {
-				c.removeLocked(e)
-				if err == nil {
-					c.invalidations++
-				}
-			}
-		default:
-			if cur, ok := c.entries[e.fp]; ok && cur == e {
-				e.bytes = ov.SizeBytes()
-				c.bytes += e.bytes
-			}
-		}
-		c.mu.Unlock()
-	}()
-	ov, err = build()
-	finished = true
-	return ov, err
-}
-
-// evictLocked trims the LRU beyond the entry cap, skipping in-flight
-// builds and never evicting the most-recently-used entry.
-func (c *OverlayCache) evictLocked() {
-	for elem := c.lru.Back(); elem != nil && elem != c.lru.Front() && len(c.entries) > c.cap; {
-		prev := elem.Prev()
-		e := elem.Value.(*overlayEntry)
-		select {
-		case <-e.ready:
-			c.removeLocked(e)
-			c.evictions++
-		default:
-		}
-		elem = prev
-	}
+	return c.lru.getOrBuild(fp, structure, [2]uint64{statsVersion, epoch}, build)
 }

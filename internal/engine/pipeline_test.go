@@ -170,7 +170,7 @@ func TestCatalogBumpInvalidatesTiers(t *testing.T) {
 func TestStructureEvictionDropsOverlays(t *testing.T) {
 	// Single-entry, single-shard structure cache: the second query
 	// evicts the first query's structure.
-	e := engine.New(tinyTPCH(t), engine.WithCache(engine.NewSpaceCacheSharded(1, 1)))
+	e := engine.New(tinyTPCH(t), engine.WithCache(engine.NewSpaceCache(1)))
 	if _, err := e.Prepare(smallJoin); err != nil {
 		t.Fatal(err)
 	}

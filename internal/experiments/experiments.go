@@ -60,9 +60,8 @@ type Config struct {
 	// Workers shards sampling and plan costing. 0 picks GOMAXPROCS
 	// (capped); 1 forces the sequential path. For a fixed (Seed,
 	// SampleSize, Workers) the drawn sample is deterministic — worker w
-	// draws an independent stream seeded core.DeriveSeed(Seed, w), the
-	// same derivation core.SampleParallel uses — but changing Workers
-	// changes which plans are drawn.
+	// draws an independent stream seeded core.DeriveSeed(Seed, w) — but
+	// changing Workers changes which plans are drawn.
 	Workers int
 
 	// Rules overrides the rule configuration (nil: the full default
@@ -121,9 +120,6 @@ func (c *Config) workers() int {
 	}
 	return w
 }
-
-// DefaultConfig matches the paper's sample size.
-func DefaultConfig() Config { return Config{SampleSize: 10000, Seed: 1} }
 
 // ScaledCosts prepares a query, samples cfg.SampleSize plans uniformly,
 // and returns their costs scaled to the optimum, plus the prepared query.

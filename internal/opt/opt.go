@@ -5,8 +5,8 @@
 // per-operator costs, and the winner computation — "for every group we
 // keep track of the best physical operator for each set of physical
 // properties") depends additionally on cost parameters, statistics, and
-// feedback corrections. BuildStructure produces the former; CostMemo
-// attaches the latter as an immutable overlay (cost.Tables) without
+// feedback corrections. BuildStructure produces the former;
+// Structure.Cost attaches the latter as an immutable overlay (cost.Tables) without
 // mutating the shared memo, so any number of costings — different
 // parameters, different statistics, different feedback epochs — can
 // coexist over one counted structure. Optimize is the one-shot
@@ -69,7 +69,7 @@ func (s *Structure) skeletonOf() *skeleton {
 // Costing is the cost overlay over one structure: per-group estimated
 // cardinalities and per-operator local costs (cost.Tables), the
 // estimator and model bound to them, and the optimal plan. A Costing is
-// immutable after CostMemo returns and safe for concurrent readers.
+// immutable after Structure.Cost returns and safe for concurrent readers.
 type Costing struct {
 	Params cost.Params
 	Est    *cost.Estimator
@@ -84,24 +84,14 @@ type Costing struct {
 }
 
 // Cost computes an overlay for the structure under the given parameters
-// and (optionally nil) feedback correction factors, reusing the
-// structure's shared skeleton.
+// and (optionally nil) feedback correction factors: fill the cardinality
+// table, fill the local-cost table, then solve for the cheapest plan per
+// (group, ordering context) and extract the optimum from the root
+// group. The shared memo is only read, never written, and the context
+// skeleton is shared across costings.
 func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, error) {
-	return costMemo(s.Query, s.Memo, s.skeletonOf(), params, corr)
-}
-
-// CostMemo computes a cost overlay for an already-expanded memo: fill
-// the cardinality table, fill the local-cost table, then solve for the
-// cheapest plan per (group, ordering context) and extract the optimum
-// from the root group. The shared memo is only read, never written.
-// Callers costing one memo repeatedly should go through Structure.Cost,
-// which reuses the context skeleton across costings.
-func CostMemo(q *algebra.Query, m *memo.Memo, params cost.Params, corr cost.Correction) (*Costing, error) {
-	return costMemo(q, m, buildSkeleton(m), params, corr)
-}
-
-func costMemo(q *algebra.Query, m *memo.Memo, sk *skeleton, params cost.Params, corr cost.Correction) (*Costing, error) {
-	est := cost.NewEstimator(q, params)
+	m, sk := s.Memo, s.skeletonOf()
+	est := cost.NewEstimator(s.Query, params)
 	if corr != nil {
 		est.SetCorrection(corr)
 	}

@@ -93,7 +93,7 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		fmt.Printf("N = %s\n", p.Count())
 	}
 	if dump {
-		fmt.Print(p.Opt.Memo.DumpAnnotated(p.Opt.Costing.CardOf))
+		fmt.Print(p.Opt.Memo.DumpAnnotated(p.Opt.CardOf))
 	}
 	if jsonOut {
 		blob, err := p.ExportJSON()
@@ -166,23 +166,18 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		}
 	}
 	if execute {
-		chosen, err := p.ChosenPlan()
-		if err != nil {
-			return err
-		}
+		// Session.Execute resolves -useplan, then OPTION (USEPLAN n),
+		// then the optimizer's choice.
+		opts := engine.ExecOptions{Timeout: lim.Timeout, MaxRows: lim.MaxRows, MaxIntermediateRows: lim.MaxIntermediateRows}
 		if useplan != "" {
-			r, _ := new(big.Int).SetString(useplan, 10)
-			chosen, err = p.Unrank(r)
-			if err != nil {
-				return err
-			}
+			opts.Rank, _ = new(big.Int).SetString(useplan, 10)
 		}
-		start := time.Now()
-		res, err := p.ExecuteWith(context.Background(), chosen, lim)
+		x, err := sess.Execute(context.Background(), sqlText, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s(%d rows in %v)\n", res, len(res.Rows), time.Since(start).Round(time.Microsecond))
+		res := x.Result
+		fmt.Printf("%s(%d rows in %v)\n", res, len(res.Rows), res.Stats.Elapsed.Round(time.Microsecond))
 		fmt.Printf("digest: %s\n", res.Digest())
 		fmt.Printf("rows produced: %d | rows examined: %d", res.Stats.RowsProduced, res.Stats.RowsExamined)
 		if res.Stats.Truncated {

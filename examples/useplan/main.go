@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	e := engine.New(db)
+	sess := engine.New(db).Session()
+	ctx := context.Background()
 
 	// The query from the paper's Section 4, transposed onto TPC-H: which
 	// nations did customer 13's purchases ship from?
@@ -39,26 +41,28 @@ func run() error {
 		GROUP BY n_name
 		ORDER BY n_name`
 
-	p, err := e.Prepare(base)
+	p, err := sess.Prepare(base)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("query has %s plans\n\n", p.Count())
 
-	reference, err := e.Run(base)
+	ref, err := sess.Execute(ctx, base, engine.ExecOptions{})
 	if err != nil {
 		return err
 	}
+	reference := ref.Result
 	fmt.Printf("optimizer's plan:\n%s\n", reference)
 
 	// Iterate a deterministic selection of plan numbers through the SQL
 	// interface itself, comparing all results against the optimizer's.
 	for _, n := range []int64{0, 7, 8, 1000, 999999} {
 		stmt := fmt.Sprintf("%s OPTION (USEPLAN %d)", base, n)
-		res, err := e.Run(stmt)
+		x, err := sess.Execute(ctx, stmt, engine.ExecOptions{})
 		if err != nil {
 			return fmt.Errorf("USEPLAN %d: %w", n, err)
 		}
+		res := x.Result
 		status := "OK (same result)"
 		if !res.Equivalent(reference, 1e-9) {
 			status = "MISMATCH — optimizer or executor bug!"
@@ -67,7 +71,7 @@ func run() error {
 	}
 
 	// Out-of-range plan numbers are rejected with the space size.
-	_, err = e.Run(base + " OPTION (USEPLAN 99999999999999999999999999)")
+	_, err = sess.Execute(ctx, base+" OPTION (USEPLAN 99999999999999999999999999)", engine.ExecOptions{})
 	fmt.Printf("\nout-of-range USEPLAN is rejected: %v\n", err)
 	return nil
 }

@@ -36,7 +36,7 @@ func starSchema() *catalog.Catalog {
 	return c
 }
 
-func prepared(t *testing.T, text string) (*Space, *opt.Result) {
+func prepared(t *testing.T, text string) (*Space, *opt.Costing) {
 	t.Helper()
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -46,7 +46,12 @@ func prepared(t *testing.T, text string) (*Space, *opt.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := opt.Optimize(q, opt.DefaultOptions())
+	opts := opt.DefaultOptions()
+	st, err := opt.BuildStructure(q, opts.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Cost(opts.Params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

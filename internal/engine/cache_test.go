@@ -2,13 +2,14 @@ package engine
 
 import (
 	"errors"
-	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/opt"
+	"repro/internal/sql"
+	"repro/internal/tpch"
 )
 
 func fp(b byte) Fingerprint {
@@ -24,7 +25,7 @@ func fp(b byte) Fingerprint {
 // built so far.
 type tierCache struct {
 	get   func(key byte, f func() error) (val any, cached bool, err error)
-	stats func() ShardStats
+	stats func() lruStats
 	doom  func()
 }
 
@@ -33,8 +34,7 @@ var cacheTiers = []struct {
 	open func(capacity int) tierCache
 }{
 	{"structure", func(capacity int) tierCache {
-		// One shard: LRU order must be globally exact.
-		c := newSpaceCacheSharded(capacity, 1)
+		c := NewSpaceCache(capacity)
 		return tierCache{
 			get: func(key byte, f func() error) (any, bool, error) {
 				v, cached, err := c.GetOrBuild(fp(key), 1, func() (*StructureSpace, error) {
@@ -45,7 +45,7 @@ var cacheTiers = []struct {
 				})
 				return v, cached, err
 			},
-			stats: func() ShardStats { return c.Stats().Shards[0] },
+			stats: func() lruStats { s, _ := c.lru.stats(nil); return s },
 			doom:  func() { c.Invalidate(2) },
 		}
 	}},
@@ -61,12 +61,8 @@ var cacheTiers = []struct {
 				})
 				return v, cached, err
 			},
-			stats: func() ShardStats {
-				st := c.Stats()
-				return ShardStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-					Invalidations: st.Invalidations, Entries: st.Entries, BytesCached: st.BytesCached}
-			},
-			doom: func() { c.DropStructure(fp(0)) },
+			stats: func() lruStats { s, _ := c.lru.stats(nil); return s },
+			doom:  func() { c.DropStructure(fp(0)) },
 		}
 	}},
 }
@@ -204,12 +200,11 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation: observing a newer catalog version drops every
-// space built against an older one.
+// TestCacheInvalidation: observing a newer catalog version — through
+// GetOrBuild or Invalidate — drops every space built against an older
+// one and releases its bytes.
 func TestCacheInvalidation(t *testing.T) {
-	// One shard for exact counter expectations; the cross-shard
-	// broadcast case is TestCacheShardedInvalidation.
-	c := newSpaceCacheSharded(8, 1)
+	c := NewSpaceCache(8)
 	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
 	if _, _, err := c.GetOrBuild(fp(1), 1, build); err != nil {
 		t.Fatal(err)
@@ -224,8 +219,8 @@ func TestCacheInvalidation(t *testing.T) {
 	if st.Invalidations != 2 {
 		t.Errorf("invalidations = %d, want 2", st.Invalidations)
 	}
-	if st.Entries != 1 {
-		t.Errorf("entries = %d, want only the version-2 space", st.Entries)
+	if st.Entries != 1 || st.BytesCached != (&StructureSpace{}).SizeBytes() {
+		t.Errorf("entries = %d, bytes = %d, want only the version-2 space", st.Entries, st.BytesCached)
 	}
 	// Explicit Invalidate behaves the same.
 	c.Invalidate(3)
@@ -334,9 +329,10 @@ func TestCacheDoomedBuildNotCached(t *testing.T) {
 // TestCacheByteBudgetEviction: eviction is driven by estimated space
 // bytes, not just entry count. Entry sizes are controlled through the
 // canonical SQL length (SizeBytes = fixed overhead + len(Canonical) for
-// a space-less StructureSpace).
+// a space-less StructureSpace). The budget and the LRU order are global:
+// keys that differ in their first byte compete for the same budget.
 func TestCacheByteBudgetEviction(t *testing.T) {
-	c := newSpaceCacheSharded(100, 1) // one shard: byte eviction order must be exact
+	c := NewSpaceCache(100)
 	entry := func(b byte, canonLen int) (*StructureSpace, bool) {
 		t.Helper()
 		ps, cached, err := c.GetOrBuild(fp(b), 1, func() (*StructureSpace, error) {
@@ -379,10 +375,28 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 	// eviction entirely.
 	entry(5, 0)
 	c.SetByteBudget(0)
+	before := c.Stats()
 	entry(6, 0)
 	entry(7, 0)
-	if st := c.Stats(); st.Entries < 3 {
-		t.Errorf("byte eviction ran with budget disabled: %+v", st)
+	if st := c.Stats(); st.Entries != before.Entries+2 || st.Evictions != before.Evictions || st.ByteBudget != 0 {
+		t.Errorf("byte eviction ran with budget disabled: %+v -> %+v", before, st)
+	}
+}
+
+// TestCacheCapacityIsGlobal: the entry cap is one bound over the whole
+// cache whatever the host's CPU count, so two keys fit in a cache of 64
+// even when GOMAXPROCS is 64.
+func TestCacheCapacityIsGlobal(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	c := NewSpaceCache(64)
+	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
+	for _, b := range []byte{1, 65, 1, 65} {
+		if _, _, err := c.GetOrBuild(fp(b), 1, build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Hits != 2 || st.Evictions != 0 || st.Capacity != 64 {
+		t.Errorf("stats = %+v, want 2 entries, 2 hits, no eviction, capacity 64", st)
 	}
 }
 
@@ -406,100 +420,14 @@ func TestCacheBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheShardDistribution: a sharded cache spreads fingerprints
-// across shards (SHA-256 prefixes are uniform), aggregates counters
-// correctly, and splits capacity so the total never drops below the
-// requested one.
-func TestCacheShardDistribution(t *testing.T) {
-	c := newSpaceCacheSharded(64, 4)
-	var fps []Fingerprint
-	for i := 0; i < 32; i++ {
-		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
-	}
-	for _, f := range fps {
-		if _, _, err := c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != len(fps) || st.Misses != uint64(len(fps)) {
-		t.Fatalf("aggregate stats = %+v, want %d entries/misses", st, len(fps))
-	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("per-shard breakdown has %d rows", len(st.Shards))
-	}
-	if st.Capacity < 64 {
-		t.Fatalf("split capacity %d below requested 64", st.Capacity)
-	}
-	populated := 0
-	sum := 0
-	for _, sh := range st.Shards {
-		if sh.Entries > 0 {
-			populated++
-		}
-		sum += sh.Entries
-	}
-	if sum != st.Entries {
-		t.Fatalf("shard entries sum %d != aggregate %d", sum, st.Entries)
-	}
-	if populated < 2 {
-		t.Fatalf("32 uniform fingerprints landed in %d shard(s); routing looks degenerate", populated)
-	}
-	// Hits route to the same shard and aggregate.
-	for _, f := range fps {
-		if _, cached, _ := c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil }); !cached {
-			t.Fatal("expected a cache hit on reinsertion")
-		}
-	}
-	if st = c.Stats(); st.Hits != uint64(len(fps)) {
-		t.Fatalf("aggregate hits = %d, want %d", st.Hits, len(fps))
-	}
-}
-
-// TestCacheShardedInvalidation: explicit Invalidate broadcasts to every
-// shard, and a newer version observed through GetOrBuild cleans at
-// least the accessed shard while fingerprint-embedded versions keep
-// stale spaces unreachable everywhere.
-func TestCacheShardedInvalidation(t *testing.T) {
-	c := newSpaceCacheSharded(64, 8)
-	var fps []Fingerprint
-	for i := 0; i < 24; i++ {
-		fps = append(fps, structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1))
-	}
-	for _, f := range fps {
-		c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
-	}
-	c.Invalidate(2)
-	st := c.Stats()
-	if st.Entries != 0 {
-		t.Fatalf("explicit Invalidate left %d entries across shards", st.Entries)
-	}
-	// A newer version observed through GetOrBuild broadcasts too: one
-	// request must release stale spaces in every shard, not just the
-	// one its fingerprint hashes to.
-	for _, f := range fps {
-		c.GetOrBuild(f, 2, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
-	}
-	c.GetOrBuild(fps[0], 3, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
-	if got := c.Stats().Entries; got != 1 {
-		t.Fatalf("version bump via GetOrBuild left %d stale entries resident, want 1", got)
-	}
-	if st.Invalidations != uint64(len(fps)) {
-		t.Fatalf("invalidations = %d, want %d", st.Invalidations, len(fps))
-	}
-	if st.BytesCached != 0 {
-		t.Fatalf("bytes not released across shards: %+v", st)
-	}
-}
-
-// TestCacheShardedSingleflight: concurrent misses for many fingerprints
-// across shards still build each space exactly once.
-func TestCacheShardedSingleflight(t *testing.T) {
-	c := newSpaceCacheSharded(64, 8)
+// TestCacheSingleflightManyKeys: concurrent misses for many
+// fingerprints at once still build each space exactly once.
+func TestCacheSingleflightManyKeys(t *testing.T) {
+	c := NewSpaceCache(64)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
+		f := fp(byte(i))
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
@@ -521,33 +449,106 @@ func TestCacheShardedSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheShardedByteBudget: SetByteBudget splits across shards and
-// still evicts; zero disables byte eviction on every shard.
+// TestCacheShardedInvalidation: with many fingerprints resident,
+// explicit Invalidate empties the whole cache, and a newer version
+// observed through one GetOrBuild releases every stale space and its
+// bytes, not only the one it asked for. (The name dates from the
+// sharded cache, where this was a cross-shard broadcast.)
+func TestCacheShardedInvalidation(t *testing.T) {
+	c := NewSpaceCache(64)
+	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
+	for b := byte(0); b < 24; b++ {
+		c.GetOrBuild(fp(b), 1, build)
+	}
+	c.Invalidate(2)
+	if st := c.Stats(); st.Entries != 0 || st.BytesCached != 0 || st.Invalidations != 24 {
+		t.Fatalf("explicit Invalidate: %+v, want 0 entries, 0 bytes, 24 invalidations", st)
+	}
+	for b := byte(0); b < 24; b++ {
+		c.GetOrBuild(fp(b), 2, build)
+	}
+	c.GetOrBuild(fp(0), 3, build)
+	st := c.Stats()
+	if st.Entries != 1 || st.BytesCached != (&StructureSpace{}).SizeBytes() {
+		t.Fatalf("version bump via GetOrBuild left stale spaces resident: %+v", st)
+	}
+	if st.Invalidations != 48 {
+		t.Fatalf("invalidations = %d, want 48", st.Invalidations)
+	}
+}
+
+// TestCacheShardedByteBudget: under a tight byte budget many keys keep
+// the cache within it by evicting, and SetByteBudget(0) stops byte
+// eviction for every key. (The name dates from the sharded cache,
+// where the budget was split across shards.)
 func TestCacheShardedByteBudget(t *testing.T) {
-	c := newSpaceCacheSharded(100, 4)
+	c := NewSpaceCache(100)
 	one := (&StructureSpace{}).SizeBytes()
-	c.SetByteBudget(4 * (one + one/2)) // about 1.5 entries of budget per shard
-	var fps []Fingerprint
-	for i := 0; i < 40; i++ {
-		f := structureFingerprintOf(fmt.Sprintf("SELECT %d", i), opt.DefaultOptions().Rules, 1, 1)
-		fps = append(fps, f)
-		c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+	c.SetByteBudget(4*one + one/2) // room for four entries
+	build := func() (*StructureSpace, error) { return &StructureSpace{}, nil }
+	for b := byte(0); b < 40; b++ {
+		c.GetOrBuild(fp(b), 1, build)
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no byte evictions under a tight split budget: %+v", st)
-	}
-	for _, sh := range st.Shards {
-		if sh.Entries > 2 {
-			t.Fatalf("a shard holds %d entries beyond its budget slice: %+v", sh.Entries, st)
-		}
+	if st.Entries != 4 || st.BytesCached != 4*one || st.Evictions != 36 {
+		t.Fatalf("40 keys under a four-entry budget: %+v, want 4 entries and 36 evictions", st)
 	}
 	c.SetByteBudget(0)
 	before := c.Stats().Evictions
-	for _, f := range fps[:8] {
-		c.GetOrBuild(f, 1, func() (*StructureSpace, error) { return &StructureSpace{}, nil })
+	for b := byte(0); b < 8; b++ {
+		c.GetOrBuild(fp(b), 1, build)
 	}
 	if after := c.Stats().Evictions; after != before {
 		t.Fatalf("byte eviction ran with budget disabled: %d -> %d", before, after)
+	}
+}
+
+// TestPrepareStructureLeavesBetweenStages: a structure that leaves the
+// cache after its build returns but before Prepare inserts the overlay
+// (here: doomed by a schema bump while Prepare waits on the build) must
+// not leave that overlay cached over a memo no cache accounts for.
+func TestPrepareStructureLeavesBetweenStages(t *testing.T) {
+	db, err := tpch.NewDB(0.0004, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(db)
+	sess := e.Session()
+	const text = "SELECT n_name FROM nation, region WHERE n_regionkey = r_regionkey"
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, cat := canonicalSQL(stmt), db.Catalog()
+	v := cat.SchemaVersion()
+	sfp := structureFingerprintOf(canonical, sess.opts.Rules, cat.ID(), v)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := e.cache.GetOrBuild(sfp, v, func() (*StructureSpace, error) {
+			close(started)
+			<-release
+			return sess.buildStructure(canonical, stmt, sfp)
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		_, err := sess.Prepare(text)
+		errs <- err
+	}()
+	for e.cache.Stats().Hits != 1 { // Prepare has joined the build
+		time.Sleep(time.Millisecond)
+	}
+	e.cache.Invalidate(v + 1)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.overlays.Stats(); st.Entries != 0 || st.BytesCached != 0 {
+		t.Errorf("overlay over a dropped structure stayed cached: %+v", st)
 	}
 }

@@ -176,22 +176,6 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 	return e.Session().Prepare(sqlText)
 }
 
-// Run parses, optimizes, and executes a statement end to end, honoring
-// OPTION (USEPLAN n) exactly as Section 4 describes: the optimizer builds
-// the MEMO, the space is counted, and the requested plan is extracted and
-// executed instead of the optimizer's choice.
-func (e *Engine) Run(sqlText string) (*exec.Result, error) {
-	p, err := e.Prepare(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	chosen, err := p.ChosenPlan()
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteWith(context.Background(), chosen, exec.Options{})
-}
-
 // Session is one rule/cost configuration over an engine's database and
 // caches. Its Prepare method is the codebase's single preparation path.
 type Session struct {
@@ -303,12 +287,22 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The structure may have left the cache after its build returned but
+	// before the overlay entry existed (evicted, or doomed by a schema
+	// bump mid-build). Its removal listener then found no overlay to
+	// drop, so the overlay just cached would pin a memo no cache
+	// accounts for. A removal after this check runs the listener again.
+	if !oCached {
+		if cur, ok := s.engine.cache.lru.peek(sfp); !ok || cur != ss {
+			s.engine.overlays.DropStructure(sfp)
+		}
+	}
 
 	p := &Prepared{
 		SQL:           sqlText,
 		Stmt:          stmt,
 		Query:         ss.Query,
-		Opt:           opt.NewResult(ss.Struct, ov.Costing),
+		Opt:           ov.Costing,
 		Space:         ss.Space,
 		Shared:        ss,
 		Overlay:       ov,
@@ -332,14 +326,13 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 // Prepared is a parsed, optimized, and counted query: the frozen search
 // space plus the optimal plan, ready for counting, unranking, sampling,
 // and execution. Query and Space alias the shared StructureSpace; Opt
-// presents the shared CostOverlay through the classic opt.Result
-// surface — both layers are immutable and may be shared with every
-// other Prepared of the same fingerprints.
+// is the shared CostOverlay's costing — both layers are immutable and
+// may be shared with every other Prepared of the same fingerprints.
 type Prepared struct {
 	SQL   string
 	Stmt  *sql.SelectStmt
 	Query *algebra.Query
-	Opt   *opt.Result
+	Opt   *opt.Costing
 	Space *core.Space
 
 	// Shared is the cached StructureSpace this statement runs against;
@@ -445,15 +438,6 @@ func (p *Prepared) ExecuteWith(ctx context.Context, n *plan.Node, opts exec.Opti
 		p.engine.recordExecution(p, res)
 	}
 	return res, err
-}
-
-// ChosenPlan returns the plan the statement selects: plan UsePlan when
-// OPTION (USEPLAN n) was given, the optimizer's choice otherwise.
-func (p *Prepared) ChosenPlan() (*plan.Node, error) {
-	if p.UsePlan != nil {
-		return p.Space.Unrank(p.UsePlan)
-	}
-	return p.Opt.Best, nil
 }
 
 // ExecOptions configures Session.Execute: which plan to run (Rank

@@ -68,7 +68,7 @@ func TestUsePlanSelectsSpecificPlan(t *testing.T) {
 	if p.UsePlan == nil || p.UsePlan.Int64() != 12345 {
 		t.Fatalf("UsePlan = %v", p.UsePlan)
 	}
-	chosen, err := p.ChosenPlan()
+	x, err := e.Session().Execute(context.Background(), smallJoin+" OPTION (USEPLAN 12345)", engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,19 +76,15 @@ func TestUsePlanSelectsSpecificPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Equal(chosen, direct) {
-		t.Error("ChosenPlan != Unrank(12345)")
+	if x.Rank.Int64() != 12345 || !plan.Equal(x.Plan, direct) {
+		t.Errorf("Execute ran plan %s, want Unrank(12345)", x.Rank)
 	}
 	// Executing the selected plan gives the same rows as the optimizer's.
-	res, err := p.ExecuteWith(context.Background(), chosen, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := p.ExecuteWith(context.Background(), p.OptimalPlan(), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equivalent(ref, 1e-9) {
+	if !x.Result.Equivalent(ref, 1e-9) {
 		t.Error("USEPLAN result differs from optimizer result")
 	}
 }
@@ -103,10 +99,11 @@ func TestUsePlanOutOfRange(t *testing.T) {
 
 func TestRunWithoutOptionUsesOptimal(t *testing.T) {
 	e := engine.New(tinyTPCH(t))
-	res, err := e.Run("SELECT r_name FROM region ORDER BY r_name")
+	x, err := e.Session().Execute(context.Background(), "SELECT r_name FROM region ORDER BY r_name", engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := x.Result
 	if len(res.Rows) != 5 || res.Rows[0][0].Str() != "AFRICA" {
 		t.Errorf("rows = %v", res.Rows)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // flightLRU is the singleflight LRU both cache tiers are built from:
-// SpaceCache is N shards of it holding counted structures, OverlayCache
+// SpaceCache is one instance holding counted structures, OverlayCache
 // is one instance holding cost overlays. It owns every invariant the
 // tiers share:
 //
@@ -232,10 +232,28 @@ func (c *flightLRU[V]) setByteBudget(n int64) {
 	c.unlock()
 }
 
+// peek returns key's value if its build has completed and it is still
+// cached, without touching the LRU order or the counters.
+func (c *flightLRU[V]) peek(key Fingerprint) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, found := c.entries[key]; found && e.done {
+		return e.val, true
+	}
+	return v, false
+}
+
+// lruStats is a point-in-time snapshot of one flightLRU's counters.
+type lruStats struct {
+	Hits, Misses, Evictions, Invalidations uint64
+	Entries                                int
+	BytesCached                            int64
+}
+
 // stats snapshots the counters and the byte budget, calling visit (if
 // non-nil) under the lock for every completed value — failed builds
 // leave the map as they complete, so each of them succeeded.
-func (c *flightLRU[V]) stats(visit func(V)) (s ShardStats, byteBudget int64) {
+func (c *flightLRU[V]) stats(visit func(V)) (s lruStats, byteBudget int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if visit != nil {
@@ -245,7 +263,7 @@ func (c *flightLRU[V]) stats(visit func(V)) (s ShardStats, byteBudget int64) {
 			}
 		}
 	}
-	return ShardStats{
+	return lruStats{
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,

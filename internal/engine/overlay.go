@@ -52,14 +52,14 @@ type OverlayCacheStats struct {
 }
 
 // OverlayCache is a concurrency-safe LRU of cost overlays keyed by
-// overlay fingerprint: one unsharded flightLRU. Re-costing is
-// milliseconds, entries are KBs, and the common case is a handful of
+// overlay fingerprint: one flightLRU, like the SpaceCache. Re-costing
+// is milliseconds, entries are KBs, and the common case is a handful of
 // (cost params, stats version, feedback epoch) combinations per
-// structure, so one lock and an entry cap suffice. Entries older than
-// the newest observed statistics version or feedback epoch are dropped
-// promptly — their fingerprints embed both, so they could never be
-// returned; invalidation exists to release memory, exactly like the
-// structure cache's catalog invalidation.
+// structure, so an entry cap suffices without a byte budget. Entries
+// older than the newest observed statistics version or feedback epoch
+// are dropped promptly — their fingerprints embed both, so they could
+// never be returned; invalidation exists to release memory, exactly
+// like the structure cache's catalog invalidation.
 type OverlayCache struct {
 	lru *flightLRU[*CostOverlay]
 }

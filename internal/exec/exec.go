@@ -37,13 +37,6 @@ type Result struct {
 	Stats   ExecStats
 }
 
-// Run executes a physical plan to completion with no limits — the
-// library-internal path for trusted plans (tests, experiments, the
-// verification harness). Governed callers use RunWithOptions.
-func Run(p *plan.Node, db *storage.DB, q *algebra.Query) (*Result, error) {
-	return RunWithOptions(context.Background(), p, db, q, Options{})
-}
-
 // RunWithOptions executes a physical plan under ctx and the given
 // resource limits. Limit terminations (deadline, row cap, work budget,
 // cancellation) return the partial Result with Stats.Truncated set and

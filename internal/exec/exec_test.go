@@ -104,11 +104,11 @@ func buildDB(t *testing.T) *storage.DB {
 
 func runSQL(t *testing.T, db *storage.DB, q string) *exec.Result {
 	t.Helper()
-	res, err := engine.New(db).Run(q)
+	x, err := engine.New(db).Session().Execute(context.Background(), q, engine.ExecOptions{})
 	if err != nil {
 		t.Fatalf("run %q: %v", q, err)
 	}
-	return res
+	return x.Result
 }
 
 func rowStrings(res *exec.Result) []string {
@@ -215,7 +215,7 @@ func TestCaseNullWhenNoArmMatches(t *testing.T) {
 
 func TestDivisionByZeroPropagates(t *testing.T) {
 	db := buildDB(t)
-	_, err := engine.New(db).Run("SELECT amount / (qty - qty) FROM ord, item WHERE oid = ioid")
+	_, err := engine.New(db).Session().Execute(context.Background(), "SELECT amount / (qty - qty) FROM ord, item WHERE oid = ioid", engine.ExecOptions{})
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("division by zero not propagated: %v", err)
 	}

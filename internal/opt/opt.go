@@ -9,8 +9,7 @@
 // Structure.Cost attaches the latter as an immutable overlay (cost.Tables) without
 // mutating the shared memo, so any number of costings — different
 // parameters, different statistics, different feedback epochs — can
-// coexist over one counted structure. Optimize is the one-shot
-// composition of the two.
+// coexist over one counted structure.
 package opt
 
 import (
@@ -79,8 +78,10 @@ type Costing struct {
 	Best     *plan.Node
 	BestCost float64
 
-	memo *memo.Memo
-	sol  *solution
+	// Memo is the structure's shared memo the tables are indexed by.
+	Memo *memo.Memo
+
+	sol *solution
 }
 
 // Cost computes an overlay for the structure under the given parameters
@@ -104,7 +105,7 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 
 	c := &Costing{
 		Params: params, Est: est, Model: model, Tables: tab,
-		memo: m,
+		Memo: m,
 		sol: &solution{
 			sk:     sk,
 			cost:   make([]float64, sk.maxExpr+1),
@@ -160,57 +161,4 @@ func fillCards(m *memo.Memo, est *cost.Estimator, tab *cost.Tables) {
 		}
 		tab.Cards[g.ID] = card
 	}
-}
-
-// Result is the outcome of the one-shot Optimize path: the expanded
-// MEMO, the cost overlay's estimator/model, and the optimal plan —
-// the classic façade tests and tools program against. The Costing field
-// exposes the overlay itself.
-type Result struct {
-	Query *algebra.Query
-	Memo  *memo.Memo
-	Est   *cost.Estimator
-	Model *cost.Model
-
-	Best     *plan.Node
-	BestCost float64
-
-	Costing *Costing
-}
-
-// NewResult assembles the façade over a structure and a costing (the
-// engine's two-tier cache uses it to present cached layers through the
-// classic Result surface).
-func NewResult(st *Structure, c *Costing) *Result {
-	return &Result{
-		Query: st.Query, Memo: st.Memo,
-		Est: c.Est, Model: c.Model,
-		Best: c.Best, BestCost: c.BestCost,
-		Costing: c,
-	}
-}
-
-// Optimize expands, costs, and solves the search space for q in one
-// shot over a private memo.
-func Optimize(q *algebra.Query, opts Options) (*Result, error) {
-	st, err := BuildStructure(q, opts.Rules)
-	if err != nil {
-		return nil, err
-	}
-	c, err := st.Cost(opts.Params, nil)
-	if err != nil {
-		return nil, err
-	}
-	return NewResult(st, c), nil
-}
-
-// PlanCost costs an arbitrary plan from this result's space.
-func (r *Result) PlanCost(n *plan.Node) (float64, error) {
-	return n.Cost(r.Model)
-}
-
-// RetainedExprs simulates the paper's remark that "some optimizers by
-// default discard suboptimal expressions" (see Costing.RetainedExprs).
-func (r *Result) RetainedExprs() map[*memo.Expr]bool {
-	return r.Costing.RetainedExprs()
 }

@@ -39,7 +39,7 @@ func optSchema() *catalog.Catalog {
 	return c
 }
 
-func optimize(t *testing.T, text string, opts Options) *Result {
+func optimize(t *testing.T, text string, opts Options) *Costing {
 	t.Helper()
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -49,7 +49,11 @@ func optimize(t *testing.T, text string, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(q, opts)
+	st, err := BuildStructure(q, opts.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Cost(opts.Params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +128,7 @@ func TestOptimalWithOrderByAndAgg(t *testing.T) {
 
 func TestCardsAnnotatedOnAllGroups(t *testing.T) {
 	res := optimize(t, joinQuery, DefaultOptions())
-	tab := res.Costing.Tables
+	tab := res.Tables
 	for _, g := range res.Memo.Groups {
 		if card := tab.CardOf(g); card <= 0 {
 			t.Errorf("group %d has card %g", g.ID, card)
@@ -201,7 +205,7 @@ func TestDeterministicOptimization(t *testing.T) {
 	if a.Best.Digest() != b.Best.Digest() {
 		t.Error("optimal plan digests differ across runs")
 	}
-	if a.Memo.DumpAnnotated(a.Costing.CardOf) != b.Memo.DumpAnnotated(b.Costing.CardOf) {
+	if a.Memo.DumpAnnotated(a.CardOf) != b.Memo.DumpAnnotated(b.CardOf) {
 		t.Error("memo dumps differ across runs")
 	}
 }

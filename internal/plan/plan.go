@@ -27,15 +27,7 @@ type Node struct {
 // nested-loop join multiplies its inner child's cost by the outer
 // cardinality inside Model.Combine.
 func (n *Node) Cost(m *cost.Model) (float64, error) {
-	childCosts := make([]float64, len(n.Children))
-	for i, c := range n.Children {
-		cc, err := c.Cost(m)
-		if err != nil {
-			return 0, err
-		}
-		childCosts[i] = cc
-	}
-	return m.Combine(n.Expr, childCosts)
+	return n.CostWith(m, &CostBuf{})
 }
 
 // CostBuf is a reusable value stack for CostWith. The zero value is

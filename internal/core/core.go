@@ -4,20 +4,24 @@
 // random sampling.
 //
 // The key idea is a bijection between 0..N-1 and the N plans of the
-// space. After optimization the MEMO is frozen; Prepare materializes, for
-// every physical operator v and child slot i, the list of candidate child
-// operators w(v)[i] — the operators of the child's group whose delivered
-// ordering satisfies what v requires of that slot (Section 3.1). Counting
-// is then a bottom-up product-of-sums (Section 3.2):
+// space. After optimization the MEMO is frozen, and its plan graph
+// (memo.Graph) holds the links of Section 3.1 once per context: for
+// every (group, required ordering) the operators of the group whose
+// delivered ordering satisfies the requirement, and for every group
+// with enforcers the non-enforcers an enforcer may take as input. Each
+// child slot i of a physical operator v draws from one context, so
+// w(v)[i] is that context's candidate list, shared by every slot with
+// the same child group and requirement. Prepare counts each context
+// once, bottom-up as a product-of-sums (Section 3.2):
 //
-//	b_v(i) = Σ_j N(w(v)[i][j])      alternatives for child i
-//	B_v(k) = Π_{i<=k} b_v(i)        combined choices of first k children
-//	N(v)   = 1 if v is a leaf, else B_v(|v|)
-//	N      = Σ_{v in root group} N(v)
+//	b(c)   = Σ_{w in c} N(w)        alternatives in context c
+//	N(v)   = 1 if v is a leaf, else Π_i b(ctx(v, i))
+//	N      = b(root context)
 //
-// and unranking decomposes a rank into a root-operator choice plus one
-// sub-rank per child slot in the mixed-radix system with digit bases
-// b_v(i) (Section 3.3).
+// with a prefix-sum row per context for rank selection. Unranking
+// decomposes a rank into a root-operator choice plus one sub-rank per
+// child slot in the mixed-radix system whose digit bases are the slots'
+// context bases (Section 3.3).
 //
 // Arithmetic is tiered. Counting runs bottom-up in overflow-checked
 // uint64; when the total N and every reachable base fit in 64 bits —
@@ -40,14 +44,13 @@ import (
 	"math/bits"
 
 	"repro/internal/memo"
-	"repro/internal/plan"
 )
 
 // Option configures Prepare.
 type Option func(*config)
 
 type config struct {
-	keep      func(*memo.Expr) bool
+	keep      func(*memo.Expr) bool // nil keeps every operator
 	forceWide bool
 }
 
@@ -65,42 +68,35 @@ func WithWideArithmetic() Option {
 	return func(c *config) { c.forceWide = true }
 }
 
-// exprInfo is the materialized link structure of one operator: the
-// candidate lists per child slot, the per-slot alternative counts b_v(i)
-// with their prefix sums (for rank/unrank selection), and N(v), in the
-// representation of whichever tier serves the node.
+// exprInfo is one counted operator: the contexts its child slots draw
+// from (the plan graph's row for it) and N(v), the product of their
+// bases, in the representation of whichever tier serves the node.
 type exprInfo struct {
-	expr  *memo.Expr
-	cands [][]*memo.Expr
+	slots []int32
 
-	// uint64 tables, computed by the overflow-checked bottom-up pass.
 	// fits means the node's own count and its entire subtree fit in 64
-	// bits (every base and prefix sum divides or bounds N(v), so they
-	// fit too). Per-slot b64/prefix64 entries stay valid on non-fitting
-	// nodes for every slot whose own sums fit — the wide decomposer's
-	// single-limb fast lane.
-	fits     bool
-	n64      uint64
-	b64      []uint64
-	div64    []magicDiv // precomputed reciprocals of b64 (valid where b64[i] > 0)
-	prefix64 [][]uint64
-
-	// wide tables — present on nodes whose subtree overflows uint64
-	// (and on every node under WithWideArithmetic). Per slot i,
-	// bW[i] == nil means the slot fits uint64 and is served by
-	// b64[i]/prefix64[i]; otherwise bW[i]/prefixW[i] hold canonical
-	// little-endian limbs carved from the space's WideArena.
-	nW      []uint64
-	bW      [][]uint64
-	prefixW [][][]uint64
+	// bits (and WithWideArithmetic was not given); n64 is N(v) then,
+	// and nW holds canonical limbs carved from the space's WideArena
+	// otherwise.
+	fits bool
+	n64  uint64
+	nW   []uint64
 }
 
-// isZero reports N(v) == 0 in whichever representation the node carries.
-func (info *exprInfo) isZero() bool {
-	if info.fits {
-		return info.n64 == 0
-	}
-	return len(info.nW) == 0
+// ctxInfo is one counted context: its candidates under the space's
+// filter, the base b = Σ N(w) over them with its prefix sums (for
+// rank selection), and the base's reciprocal. Every slot that draws
+// from the context shares these tables. bW == nil means the base fits
+// uint64 and b64/prefix64 serve it; otherwise bW/prefixW hold
+// canonical limbs carved from the space's WideArena.
+type ctxInfo struct {
+	cands    []*memo.Expr
+	b64      uint64
+	div64    magicDiv // reciprocal of b64 (valid when b64 > 0)
+	prefix64 []uint64
+	bW       []uint64
+	prefixW  [][]uint64
+	counted  bool
 }
 
 // wideCount returns N(v) as canonical limbs (valid on the uint64 and
@@ -120,123 +116,95 @@ func (info *exprInfo) wideCount(scratch *[1]uint64) []uint64 {
 // and safe for concurrent Unrank/Rank calls; create one Sampler per
 // goroutine for sampling.
 type Space struct {
-	Memo *memo.Memo
+	Memo  *memo.Memo
+	graph *memo.Graph
 
-	info    []*exprInfo // indexed by memo.Expr.ID
-	slab    []exprInfo  // backing store: one contiguous block, no per-node allocation
-	cands   candArena   // backing store for every candidate list
-	rootOps []*memo.Expr
+	info  []*exprInfo // indexed by memo.Expr.ID
+	slab  []exprInfo  // backing store: one contiguous block, no per-node allocation
+	ctx   []ctxInfo   // indexed like graph.Ctxs; counted only where a kept operator draws
+	root  *ctxInfo    // the root context: one rank range per root operator
+	cands candArena   // backing store for the filtered candidate lists (WithFilter)
 
 	total *big.Int // N, synthesized on both tiers for the API surface
 
-	// uint64 fast path: valid only when fits is true, i.e. the total
-	// count (and therefore every reachable base and prefix sum) fits in
-	// uint64 and WithWideArithmetic was not given. When fits is false
-	// the wide tier serves the space.
-	fits     bool
-	total64  uint64
-	prefix64 []uint64
-
-	// wide tier: canonical limb slices carved from tab.
+	// fits is true when the total count (and therefore every reachable
+	// base and prefix sum) fits in uint64 and WithWideArithmetic was
+	// not given; total64 is N then. Otherwise the wide tier serves the
+	// space and totalW is N.
+	fits    bool
+	total64 uint64
 	totalW  []uint64
-	prefixW [][]uint64
-	tab     WideArena // backing store for every wide count table
+	tab     WideArena // backing store for every count table
 }
 
-// Prepare materializes links and counts the space. It is the
-// post-processing step the paper describes as having negligible overhead:
-// linear in the number of operators in the MEMO.
+// Prepare counts the space over the memo's plan graph. It is the
+// post-processing step the paper describes as having negligible
+// overhead: linear in the number of operators and contexts.
 func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
-	cfg := config{keep: func(*memo.Expr) bool { return true }}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if m.Root == nil {
 		return nil, fmt.Errorf("core: memo has no root group")
 	}
-	maxID := 0
+	gr := m.Graph()
 	kept := 0
 	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.ID > maxID {
-				maxID = e.ID
-			}
-		}
 		for _, e := range g.Physical {
-			if cfg.keep(e) {
+			if cfg.keeps(e) {
 				kept++
 			}
 		}
 	}
-	// One contiguous slab for every node's link structure: the unrank
-	// hot loop chases info pointers once per operator, and packing them
-	// (like the limb arena packs the count tables) is worth real
-	// latency on memos with tens of thousands of operators.
-	s := &Space{Memo: m, info: make([]*exprInfo, maxID+1), slab: make([]exprInfo, 0, kept)}
+	// One contiguous slab for every node: the unrank hot loop chases
+	// info pointers once per operator, and packing them (like the limb
+	// arena packs the count tables) is worth real latency on memos with
+	// tens of thousands of operators.
+	s := &Space{
+		Memo: m, graph: gr,
+		info: make([]*exprInfo, len(gr.Slots)),
+		slab: make([]exprInfo, 0, kept),
+		ctx:  make([]ctxInfo, len(gr.Ctxs)),
+	}
 
 	// Count every kept physical operator (bottom-up via memoized
-	// recursion; the structure is acyclic because enforcers take only
-	// non-enforcers of their own group and all other operators reference
-	// strictly earlier layers).
+	// recursion; the graph is acyclic because enforcers take only
+	// non-enforcers of their own group and all other operators
+	// reference strictly earlier layers).
 	for _, g := range m.Groups {
 		for _, e := range g.Physical {
-			if !cfg.keep(e) {
-				continue
-			}
-			if err := s.countFast(e, &cfg); err != nil {
-				return nil, err
+			if cfg.keeps(e) {
+				s.countExpr(e, &cfg)
 			}
 		}
 	}
 
-	// Root layout: each root operator covers a contiguous rank range in
-	// declaration order; the prefix sums drive rank-to-operator
+	// Each root operator covers a contiguous rank range in declaration
+	// order; the root context's prefix sums drive rank-to-operator
 	// selection on both tiers.
-	fits := !cfg.forceWide
-	var total64 uint64
-	prefix64 := []uint64{0}
-	var totalW []uint64
-	prefixW := [][]uint64{nil} // prefixW[0] = 0
-	var scratch [1]uint64
-	for _, e := range m.Root.Physical {
-		if !cfg.keep(e) {
-			continue
-		}
-		info := s.info[e.ID]
-		if info.isZero() {
-			continue // cannot form a complete plan; covers no ranks
-		}
-		s.rootOps = append(s.rootOps, e)
-		if fits && info.fits {
-			var carry uint64
-			total64, carry = bits.Add64(total64, info.n64, 0)
-			fits = carry == 0
-		} else {
-			fits = false
-		}
-		prefix64 = append(prefix64, total64)
-		totalW = wideAdd(totalW, info.wideCount(&scratch))
-		prefixW = append(prefixW, totalW)
-	}
-	if fits {
+	s.countCtx(gr.Root, &cfg)
+	s.root = &s.ctx[gr.Root]
+	if s.root.bW == nil && !cfg.forceWide {
 		s.fits = true
-		s.total64, s.prefix64 = total64, prefix64
-		s.total = new(big.Int).SetUint64(total64)
+		s.total64 = s.root.b64
+		s.total = new(big.Int).SetUint64(s.total64)
 		return s, nil
 	}
-	s.totalW = s.tab.put(totalW)
-	s.prefixW = make([][]uint64, len(prefixW))
-	for i, p := range prefixW {
-		s.prefixW[i] = s.tab.put(p)
+	s.totalW = s.root.bW
+	if s.totalW == nil {
+		s.totalW = s.tab.put(wideFromU64(s.root.b64))
 	}
 	s.total = limbsToBig(s.totalW)
 	return s, nil
 }
 
-// candArena packs candidate lists into stable chunked backing arrays
-// (the same mechanism as WideArena — see chunked in arena.go), so the
-// unrank hot loop's cands[i][j] loads land in a handful of contiguous
-// blocks instead of one heap object per slot.
+func (c *config) keeps(e *memo.Expr) bool { return c.keep == nil || c.keep(e) }
+
+// candArena packs filtered candidate lists into stable chunked backing
+// arrays (the same mechanism as WideArena — see chunked in arena.go),
+// so the unrank hot loop's cands[j] loads land in a handful of
+// contiguous blocks instead of one heap object per context.
 type candArena struct {
 	a chunked[*memo.Expr]
 }
@@ -245,109 +213,95 @@ func (a *candArena) put(xs []*memo.Expr) []*memo.Expr { return a.a.put(xs, 512) 
 
 func (a *candArena) memoryBytes() int64 { return int64(a.a.elems()) * 8 }
 
-// slots materializes the candidate lists of one operator (Section 3.1)
-// into the space's candidate arena. Enforcers draw from the
-// non-enforcer operators of their own group with no ordering demand;
-// everything else draws from each child group's operators filtered by
-// the prefix-satisfaction test on delivered vs required orderings.
-func (s *Space) slots(e *memo.Expr, cfg *config) [][]*memo.Expr {
-	var scratch [64]*memo.Expr
-	if e.IsEnforcer() {
-		cands := scratch[:0]
-		for _, c := range e.Group.NonEnforcers() {
-			if cfg.keep(c) {
-				cands = append(cands, c)
+// countCtx fills context c's tables once: b = Σ N(w) over its kept
+// candidates, in overflow-checked uint64 with a wide-limb spill. A
+// context that overflows 64 bits (or draws from a node that does)
+// switches to exact []uint64 accumulation seeded from the checked
+// prefix run, so spaces of any size are counted exactly without
+// math/big, and contexts that fit keep their native row for the fast
+// lanes.
+func (s *Space) countCtx(c int32, cfg *config) {
+	x := &s.ctx[c]
+	if x.counted {
+		return
+	}
+	x.counted = true // safe before the recursion: the graph is acyclic
+	cands := s.graph.Ctxs[c].Cands
+	if cfg.keep != nil {
+		var scratch [64]*memo.Expr
+		kept := scratch[:0]
+		for _, e := range cands {
+			if cfg.keep(e) {
+				kept = append(kept, e)
 			}
 		}
-		return [][]*memo.Expr{s.cands.put(cands)}
+		cands = s.cands.put(kept)
 	}
-	out := make([][]*memo.Expr, len(e.Children))
-	for i, cg := range e.Children {
-		req := plan.RequiredOf(e, i)
-		cands := scratch[:0]
-		for _, c := range cg.Physical {
-			if cfg.keep(c) && c.Delivered.Satisfies(req) {
-				cands = append(cands, c)
+	x.cands = cands
+
+	// The uint64 rows are carved from the space's limb arena: every
+	// prefix-sum row of the whole space lands in a handful of
+	// contiguous chunks.
+	var b64 uint64
+	prefix64 := s.tab.Alloc(len(cands) + 1)[:1]
+	fits := true
+	var bW []uint64
+	var prefixW [][]uint64
+	var scratch [1]uint64
+	for _, e := range cands {
+		s.countExpr(e, cfg)
+		ci := s.info[e.ID]
+		if fits && ci.fits {
+			sum, carry := bits.Add64(b64, ci.n64, 0)
+			if carry == 0 {
+				b64 = sum
+				prefix64 = append(prefix64, b64)
+				continue
 			}
 		}
-		out[i] = s.cands.put(cands)
+		if fits {
+			// Spill: seed the exact wide accumulators from the checked
+			// uint64 prefix run, which is exact so far.
+			fits = false
+			prefixW = make([][]uint64, 0, len(cands)+1)
+			for _, p := range prefix64 {
+				prefixW = append(prefixW, wideFromU64(p))
+			}
+			bW = wideFromU64(b64)
+		}
+		bW = wideAdd(bW, ci.wideCount(&scratch))
+		prefixW = append(prefixW, bW)
 	}
-	return out
+	if fits {
+		x.b64, x.prefix64 = b64, prefix64
+		if b64 > 0 {
+			// The decomposition divides by this base on every unrank.
+			x.div64 = newMagicDiv(b64)
+		}
+		return
+	}
+	x.bW = s.tab.put(bW)
+	x.prefixW = make([][]uint64, len(prefixW))
+	for k, p := range prefixW {
+		x.prefixW[k] = s.tab.put(p)
+	}
 }
 
-// countFast is the production counting pass: N(v) = Π b_v(i) with
-// b_v(i) = Σ N(w), run in overflow-checked uint64 with a wide-limb
-// spill. A node (or a single slot) that overflows 64 bits switches to
-// exact []uint64 accumulation seeded from the checked prefix run, so
-// spaces of any size are counted exactly without math/big — and nodes
-// (or slots) that fit keep their native tables for the fast lanes.
-func (s *Space) countFast(e *memo.Expr, cfg *config) error {
+// countExpr computes N(v) as the product of v's slot context bases:
+// checked uint64 while it lasts, exact wide limbs afterwards.
+func (s *Space) countExpr(e *memo.Expr, cfg *config) {
 	if s.info[e.ID] != nil {
-		return nil
+		return
 	}
-	info := s.newInfo(e) // leaves have N=1 set below; set early is safe (acyclic)
-	info.cands = s.slots(e, cfg)
-
-	info.fits = true
-	info.n64 = 1
-	// The uint64 tables are carved from the space's limb arena: every
-	// base and prefix-sum row of the whole space lands in a handful of
-	// contiguous chunks, which is worth real latency on large memos
-	// whose tables would otherwise scatter across the heap.
-	info.b64 = s.tab.Alloc(len(info.cands))
-	info.prefix64 = make([][]uint64, len(info.cands))
-	var nW []uint64 // product accumulator once the node overflows
-	var scratch [1]uint64
-	for i, cands := range info.cands {
-		var b64 uint64
-		prefix64 := s.tab.Alloc(len(cands) + 1)[:1]
-		slotFits := true
-		var bW []uint64
-		var prefixW [][]uint64
-		for _, c := range cands {
-			if err := s.countFast(c, cfg); err != nil {
-				return err
-			}
-			ci := s.info[c.ID]
-			if slotFits && ci.fits {
-				sum, carry := bits.Add64(b64, ci.n64, 0)
-				if carry == 0 {
-					b64 = sum
-					prefix64 = append(prefix64, b64)
-					continue
-				}
-			}
-			if slotFits {
-				// Spill: seed the exact wide accumulators from the
-				// checked uint64 prefix run, which is exact so far.
-				slotFits = false
-				prefixW = make([][]uint64, 0, len(cands)+1)
-				for _, p := range prefix64 {
-					prefixW = append(prefixW, wideFromU64(p))
-				}
-				bW = wideFromU64(b64)
-			}
-			bW = wideAdd(bW, ci.wideCount(&scratch))
-			prefixW = append(prefixW, bW)
-		}
-
-		var baseW []uint64
-		if slotFits {
-			info.b64[i] = b64
-			info.prefix64[i] = prefix64
-		} else {
-			frozen := make([][]uint64, len(prefixW))
-			for k, p := range prefixW {
-				frozen[k] = s.tab.put(p)
-			}
-			info.wideSlot(i, s.tab.put(bW), frozen)
-			baseW = bW
-		}
-
-		// N(v) accumulation: checked uint64 while it lasts, exact wide
-		// afterwards.
-		if info.fits && slotFits {
-			hi, lo := bits.Mul64(info.n64, b64)
+	info := s.newInfo(e)
+	info.slots = s.graph.Slots[e.ID]
+	info.fits, info.n64 = true, 1
+	var nW []uint64
+	for _, c := range info.slots {
+		s.countCtx(c, cfg)
+		x := &s.ctx[c]
+		if info.fits && x.bW == nil {
+			hi, lo := bits.Mul64(info.n64, x.b64)
 			if hi == 0 {
 				info.n64 = lo
 				continue
@@ -358,32 +312,21 @@ func (s *Space) countFast(e *memo.Expr, cfg *config) error {
 			nW = wideFromU64(info.n64)
 			info.n64 = 0
 		}
-		if baseW == nil {
-			baseW = wideFromU64(b64)
+		base := x.bW
+		if base == nil {
+			base = wideFromU64(x.b64)
 		}
-		nW = wideMul(nW, baseW)
-	}
-	if n := len(info.cands); n > 0 {
-		// Freeze the per-slot reciprocals: the decomposition divides by
-		// these bases on every unrank.
-		info.div64 = make([]magicDiv, n)
-		for i, b := range info.b64 {
-			if b > 0 {
-				info.div64[i] = newMagicDiv(b)
-			}
-		}
+		nW = wideMul(nW, base)
 	}
 	if !info.fits {
 		info.nW = s.tab.put(nW)
 	} else if cfg.forceWide {
 		// The forced wide tier treats every node as wide so the wide
-		// decomposer runs end to end; the uint64 slot tables stay — they
-		// are the wide engine's own single-limb fast lane.
+		// decomposer runs end to end.
 		info.nW = s.tab.put(wideFromU64(info.n64))
 		info.fits = false
 		info.n64 = 0
 	}
-	return nil
 }
 
 // newInfo hands out the next slab slot for an operator. The slab was
@@ -393,24 +336,13 @@ func (s *Space) countFast(e *memo.Expr, cfg *config) error {
 func (s *Space) newInfo(e *memo.Expr) *exprInfo {
 	var info *exprInfo
 	if len(s.slab) < cap(s.slab) {
-		s.slab = append(s.slab, exprInfo{expr: e})
+		s.slab = append(s.slab, exprInfo{})
 		info = &s.slab[len(s.slab)-1]
 	} else {
-		info = &exprInfo{expr: e}
+		info = &exprInfo{}
 	}
 	s.info[e.ID] = info
 	return info
-}
-
-// wideSlot freezes one overflowing slot's base and prefix table into
-// the space's arena.
-func (info *exprInfo) wideSlot(i int, bW []uint64, prefixW [][]uint64) {
-	if info.bW == nil {
-		info.bW = make([][]uint64, len(info.cands))
-		info.prefixW = make([][][]uint64, len(info.cands))
-	}
-	info.bW[i] = bW
-	info.prefixW[i] = prefixW
 }
 
 // wideFromU64 lifts a native value to canonical limbs.

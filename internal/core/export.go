@@ -29,8 +29,8 @@ type ExportGroup struct {
 }
 
 // ExportOp is one physical operator: its paper-style name, shape, count
-// N(v), and per-slot candidate lists (the materialized links of Section
-// 3.1, by operator name).
+// N(v), and per-slot candidate lists (the links of Section 3.1, by
+// operator name: each slot's context candidates).
 type ExportOp struct {
 	Name       string     `json:"name"`
 	Op         string     `json:"op"`
@@ -81,7 +81,8 @@ func (s *Space) ExportJSONAnnotated(cardOf func(*memo.Group) float64, localOf fu
 			for _, r := range e.Required {
 				op.Required = append(op.Required, r.String())
 			}
-			for _, slot := range info.cands {
+			for _, c := range info.slots {
+				slot := s.ctx[c].cands
 				names := make([]string, len(slot))
 				for i, c := range slot {
 					names[i] = c.Name()

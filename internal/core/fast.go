@@ -84,14 +84,15 @@ func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
 	if r >= s.total64 {
 		return nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
 	}
-	k := selectByPrefix64(s.prefix64, r)
-	return s.unrankExpr64(s.rootOps[k], r-s.prefix64[k], a)
+	root := s.root
+	k := selectByPrefix64(root.prefix64, r)
+	return s.unrankExpr64(root.cands[k], r-root.prefix64[k], a)
 }
 
 // unrankExpr64 builds the plan rooted at e with local rank rl in
 // [0, N(e)): the mixed-radix digit of slot i is rl's remainder modulo
-// b_e(i), selected into the slot's candidates by prefix sums. a == nil
-// means heap-allocate each node.
+// the base of the slot's context, selected into the context's
+// candidates by prefix sums. a == nil means heap-allocate each node.
 func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, error) {
 	info := s.info[e.ID]
 	if info == nil {
@@ -103,31 +104,31 @@ func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, err
 	} else {
 		node = &plan.Node{Expr: e}
 	}
-	if len(info.cands) == 0 {
+	if len(info.slots) == 0 {
 		if rl != 0 {
 			return nil, fmt.Errorf("core: leaf operator %s given non-zero local rank %d", e.Name(), rl)
 		}
 		return node, nil
 	}
 	if a != nil {
-		node.Children = a.newChildren(len(info.cands))
+		node.Children = a.newChildren(len(info.slots))
 	} else {
-		node.Children = make([]*plan.Node, len(info.cands))
+		node.Children = make([]*plan.Node, len(info.slots))
 	}
 	rem := rl
-	for i := range info.cands {
-		b := info.b64[i]
+	for i, c := range info.slots {
+		x := &s.ctx[c]
+		b := x.b64
 		if b == 0 {
 			return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
 		}
 		// Division by the slot base rides the precomputed reciprocal: a
 		// multiply-high instead of a hardware DIV, per slot, per unrank.
-		q := info.div64[i].quo(rem)
+		q := x.div64.quo(rem)
 		sub := rem - q*b
 		rem = q
-		prefix := info.prefix64[i]
-		j := selectByPrefix64(prefix, sub)
-		child, err := s.unrankExpr64(info.cands[i][j], sub-prefix[j], a)
+		j := selectByPrefix64(x.prefix64, sub)
+		child, err := s.unrankExpr64(x.cands[j], sub-x.prefix64[j], a)
 		if err != nil {
 			return nil, err
 		}
@@ -180,49 +181,73 @@ func (s *Space) Rank64(n *plan.Node) (uint64, error) {
 	if !s.fits {
 		return 0, s.errNotUint64()
 	}
-	for k, e := range s.rootOps {
-		if e == n.Expr {
-			local, err := s.rankExpr64(n)
-			if err != nil {
-				return 0, err
-			}
-			return local + s.prefix64[k], nil
-		}
+	k := indexOf(s.root.cands, n.Expr)
+	if k < 0 {
+		return 0, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
 	}
-	return 0, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
+	local, err := s.rankExpr64(n)
+	if err != nil {
+		return 0, err
+	}
+	return local + s.root.prefix64[k], nil
 }
 
 func (s *Space) rankExpr64(n *plan.Node) (uint64, error) {
-	info := s.info[n.Expr.ID]
-	if info == nil {
-		return 0, fmt.Errorf("core: operator %s is not part of this space", n.Expr.Name())
-	}
-	if len(n.Children) != len(info.cands) {
-		return 0, fmt.Errorf("core: operator %s has %d child slots, plan node has %d",
-			n.Expr.Name(), len(info.cands), len(n.Children))
+	info, err := s.rankInfo(n)
+	if err != nil {
+		return 0, err
 	}
 	var rl uint64
 	base := uint64(1)
 	for i, child := range n.Children {
-		j := -1
-		for idx, c := range info.cands[i] {
-			if c == child.Expr {
-				j = idx
-				break
-			}
-		}
-		if j < 0 {
-			return 0, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
-				child.Expr.Name(), i, n.Expr.Name())
+		x := &s.ctx[info.slots[i]]
+		j, err := childIndex(x, n, i)
+		if err != nil {
+			return 0, err
 		}
 		childLocal, err := s.rankExpr64(child)
 		if err != nil {
 			return 0, err
 		}
-		rl += (info.prefix64[i][j] + childLocal) * base
-		base *= info.b64[i]
+		rl += (x.prefix64[j] + childLocal) * base
+		base *= x.b64
 	}
 	return rl, nil
+}
+
+// rankInfo returns the counted node of a plan node's operator, checking
+// that the plan gives it one child per slot.
+func (s *Space) rankInfo(n *plan.Node) (*exprInfo, error) {
+	e := n.Expr
+	if e.ID >= len(s.info) || s.info[e.ID] == nil {
+		return nil, fmt.Errorf("core: operator %s is not part of this space", e.Name())
+	}
+	info := s.info[e.ID]
+	if len(n.Children) != len(info.slots) {
+		return nil, fmt.Errorf("core: operator %s has %d child slots, plan node has %d",
+			e.Name(), len(info.slots), len(n.Children))
+	}
+	return info, nil
+}
+
+// childIndex locates plan node n's child i among the candidates of the
+// context its slot draws from.
+func childIndex(x *ctxInfo, n *plan.Node, i int) (int, error) {
+	j := indexOf(x.cands, n.Children[i].Expr)
+	if j < 0 {
+		return 0, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
+			n.Children[i].Expr.Name(), i, n.Expr.Name())
+	}
+	return j, nil
+}
+
+func indexOf(cands []*memo.Expr, e *memo.Expr) int {
+	for j, c := range cands {
+		if c == e {
+			return j
+		}
+	}
+	return -1
 }
 
 // UnrankBatch unranks every rank into a freshly allocated plan. It is

@@ -4,8 +4,8 @@ import "math/bits"
 
 // magicDiv is a precomputed reciprocal for dividing by a fixed 64-bit
 // base (Granlund–Montgomery as implemented by libdivide): the mixed-
-// radix decomposition divides by the same per-slot bases on every
-// unrank, so Prepare trades one 128/64 division per slot for a
+// radix decomposition divides by the same context bases on every
+// unrank, so Prepare trades one 128/64 division per context for a
 // multiply-high (+shift) per unrank — roughly 4× cheaper than the
 // hardware DIV the loop would otherwise issue per child slot.
 type magicDiv struct {

@@ -5,7 +5,7 @@ import "unsafe"
 // Rough per-object overheads used by MemoryFootprint. Exact sizeofs
 // are not the point — the cache's byte accounting needs a consistent,
 // monotone estimate of how much a counted space pins, dominated by the
-// per-operator count tables this file walks precisely.
+// per-context count tables this file walks precisely.
 const (
 	bigIntOverhead = 32  // big.Int header + word-slice header
 	sliceOverhead  = 24  // slice header
@@ -13,58 +13,37 @@ const (
 	memoGroupBytes = 192 // memo.Group sans Exprs slices
 )
 
-// exprInfoBytes is one slab node's own size.
-const exprInfoBytes = int64(unsafe.Sizeof(exprInfo{}))
+// Slab and context node sizes.
+const (
+	exprInfoBytes = int64(unsafe.Sizeof(exprInfo{}))
+	ctxInfoBytes  = int64(unsafe.Sizeof(ctxInfo{}))
+)
 
 // MemoryFootprint estimates the resident bytes of the counted space:
-// the MEMO it pins (groups and operators) plus the link structure the
-// counting pass materialized in whichever tier serves it — candidate
-// lists, uint64 base/prefix tables, and the wide tier's limb arena
-// (which backs every wide count, base, and prefix-sum table). Wide
-// spaces charge their full prefix-sum storage, so the SpaceCache's
-// byte-budget eviction prices a wide Q8+cross space honestly instead of
-// assuming the uint64 layout.
+// the MEMO it pins (groups, operators and the plan graph) plus the
+// count tables of whichever tier serves it — one node per counted
+// operator, one base and prefix row per context, filtered candidate
+// lists, and the limb arena (which backs every uint64 prefix row and
+// every wide count, base, and prefix-sum table). Wide spaces charge
+// their full prefix-sum storage, so the SpaceCache's byte-budget
+// eviction prices a wide Q8+cross space honestly instead of assuming
+// the uint64 layout.
 func (s *Space) MemoryFootprint() int64 {
-	var n int64
-	for _, info := range s.info {
-		if info == nil {
-			continue
-		}
-		// Candidate lists: the pointers live in s.cands (counted once
-		// below); charge the per-slot slice headers.
-		n += sliceOverhead + int64(len(info.cands))*sliceOverhead
-		n += int64(len(info.div64)) * 16
-
-		// uint64 tables: the limb data lives in s.tab (counted once
-		// below); charge the slice headers that reference it.
-		n += sliceOverhead
-		n += sliceOverhead + int64(len(info.prefix64))*sliceOverhead
-
-		// Wide tables: the limbs live in s.tab (counted once below);
-		// charge the slice headers that reference them.
-		if info.nW != nil {
-			n += sliceOverhead
-		}
-		if info.bW != nil {
-			n += 2 * (sliceOverhead + int64(len(info.bW))*sliceOverhead)
-			for _, pw := range info.prefixW {
-				n += int64(len(pw)) * sliceOverhead
-			}
-		}
-	}
-	n += sliceOverhead + int64(len(s.info))*8
+	n := sliceOverhead + int64(len(s.info))*8
 	n += int64(len(s.slab)) * exprInfoBytes
+	n += sliceOverhead + int64(len(s.ctx))*ctxInfoBytes
+	for i := range s.ctx {
+		n += int64(len(s.ctx[i].prefixW)) * sliceOverhead
+	}
 	n += s.cands.memoryBytes()
-	n += sliceOverhead + int64(len(s.rootOps))*8
 	n += bigIntOverhead + int64(len(s.total.Bits()))*8
-	n += sliceOverhead + int64(len(s.prefix64))*8
-	n += int64(len(s.prefixW)) * sliceOverhead
-	n += s.tab.MemoryBytes() // every wide limb: counts, bases, prefix sums
+	n += s.tab.MemoryBytes()
 
 	if s.Memo != nil {
 		st := s.Memo.Stats()
 		n += int64(st.Groups)*memoGroupBytes +
 			int64(st.LogicalOps+st.PhysicalOps)*memoExprBytes
+		n += s.graph.MemoryBytes()
 	}
 	return n
 }

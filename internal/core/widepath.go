@@ -49,9 +49,7 @@ func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, err
 	if wideCmp(r, s.totalW) >= 0 {
 		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", limbsToBig(r), s.total)
 	}
-	k := selectByPrefixWide(s.prefixW, r)
-	local := wideSubInPlace(wa.put(r), s.prefixW[k])
-	e := s.rootOps[k]
+	e, local := s.root.pick(wa.put(r))
 	if info := s.info[e.ID]; info.fits {
 		v, _ := wideToU64(local)
 		return s.unrankExpr64(e, v, a)
@@ -59,12 +57,30 @@ func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, err
 	return s.unrankExprWide(e, local, a, wa)
 }
 
+// pick selects the candidate of the context holding local rank r
+// (owned scratch) and returns it with r reduced in place to the
+// candidate's own local rank. A context whose base fits uint64 selects
+// on its native row.
+func (x *ctxInfo) pick(r []uint64) (*memo.Expr, []uint64) {
+	if x.bW != nil {
+		j := selectByPrefixWide(x.prefixW, r)
+		return x.cands[j], wideSubInPlace(r, x.prefixW[j])
+	}
+	v, _ := wideToU64(r)
+	j := selectByPrefix64(x.prefix64, v)
+	if len(r) == 1 {
+		r[0] = v - x.prefix64[j]
+		r = wideNorm(r)
+	}
+	return x.cands[j], r
+}
+
 // unrankExprWide mirrors unrankExpr64 with limb arithmetic. rl is owned
-// scratch (mutated in place); slots whose bases fit uint64 decompose on
-// the single-limb lane, and the recursion drops to the native uint64
-// decomposer the moment a child's whole subtree fits — for TPC-H-scale
-// wide spaces that is almost immediately, so the wide work stays
-// confined to the top of the plan.
+// scratch (mutated in place); slots whose context bases fit uint64
+// decompose on the single-limb lane, and the recursion drops to the
+// native uint64 decomposer the moment a child's whole subtree fits —
+// for TPC-H-scale wide spaces that is almost immediately, so the wide
+// work stays confined to the top of the plan.
 func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
 	info := s.info[e.ID]
 	if info == nil {
@@ -76,31 +92,29 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 	} else {
 		node = &plan.Node{Expr: e}
 	}
-	if len(info.cands) == 0 {
+	if len(info.slots) == 0 {
 		if len(rl) != 0 {
 			return nil, fmt.Errorf("core: leaf operator %s given non-zero local rank %s", e.Name(), limbsToBig(rl))
 		}
 		return node, nil
 	}
 	if a != nil {
-		node.Children = a.newChildren(len(info.cands))
+		node.Children = a.newChildren(len(info.slots))
 	} else {
-		node.Children = make([]*plan.Node, len(info.cands))
+		node.Children = make([]*plan.Node, len(info.slots))
 	}
 	rem := rl
-	for i := range info.cands {
-		var (
-			child      *memo.Expr
-			childLocal []uint64
-		)
-		if info.bW == nil || info.bW[i] == nil {
-			// Single-limb lane: the slot's base and prefix sums fit
+	for i, c := range info.slots {
+		x := &s.ctx[c]
+		var sub []uint64
+		if x.bW == nil {
+			// Single-limb lane: the context's base and prefix sums fit
 			// uint64 even though the node as a whole does not.
-			b := info.b64[i]
+			b := x.b64
 			if b == 0 {
 				return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
 			}
-			var sub uint64
+			var sub64 uint64
 			if len(rem) <= 1 {
 				// The remaining rank already fits one limb: reciprocal
 				// division, no call, no re-normalization.
@@ -108,8 +122,8 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 				if len(rem) == 1 {
 					r0 = rem[0]
 				}
-				q := info.div64[i].quo(r0)
-				sub = r0 - q*b
+				q := x.div64.quo(r0)
+				sub64 = r0 - q*b
 				r0 = q
 				if r0 == 0 {
 					rem = rem[:0]
@@ -118,32 +132,19 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 					rem[0] = r0
 				}
 			} else {
-				rem, sub = wideDivModU64(rem, b)
+				rem, sub64 = wideDivModU64(rem, b)
 			}
-			prefix := info.prefix64[i]
-			j := selectByPrefix64(prefix, sub)
-			child = info.cands[i][j]
-			buf := wa.Alloc(1)
-			buf[0] = sub - prefix[j]
-			childLocal = wideNorm(buf)
+			sub = wa.Alloc(1)
+			sub[0] = sub64
 		} else {
-			bw := info.bW[i]
-			if len(bw) == 0 {
-				return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
-			}
-			var sub []uint64
-			rem, sub = wideDivMod(rem, bw, wa)
-			pw := info.prefixW[i]
-			j := selectByPrefixWide(pw, sub)
-			child = info.cands[i][j]
-			childLocal = wideSubInPlace(sub, pw[j])
+			rem, sub = wideDivMod(rem, x.bW, wa)
 		}
-		ci := s.info[child.ID]
+		child, childLocal := x.pick(sub)
 		var (
 			ch  *plan.Node
 			err error
 		)
-		if ci != nil && ci.fits {
+		if ci := s.info[child.ID]; ci != nil && ci.fits {
 			v, _ := wideToU64(childLocal)
 			ch, err = s.unrankExpr64(child, v, a)
 		} else {
@@ -167,24 +168,21 @@ func (s *Space) rankWide(n *plan.Node) (*big.Int, error) {
 	if s.fits {
 		return nil, s.errNotWide()
 	}
-	var scratch [1]uint64
-	for k, e := range s.rootOps {
-		if e != n.Expr {
-			continue
-		}
-		local, err := s.rankExprWide(n, &scratch)
+	k := indexOf(s.root.cands, n.Expr)
+	if k >= 0 {
+		local, err := s.rankExprWide(n)
 		if err != nil {
 			return nil, err
 		}
-		return limbsToBig(wideAdd(local, s.prefixW[k])), nil
+		return limbsToBig(wideAdd(local, s.root.prefixAt(k))), nil
 	}
 	return nil, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
 }
 
-func (s *Space) rankExprWide(n *plan.Node, scratch *[1]uint64) ([]uint64, error) {
-	info := s.info[n.Expr.ID]
-	if info == nil {
-		return nil, fmt.Errorf("core: operator %s is not part of this space", n.Expr.Name())
+func (s *Space) rankExprWide(n *plan.Node) ([]uint64, error) {
+	info, err := s.rankInfo(n)
+	if err != nil {
+		return nil, err
 	}
 	if info.fits {
 		r, err := s.rankExpr64(n)
@@ -193,38 +191,36 @@ func (s *Space) rankExprWide(n *plan.Node, scratch *[1]uint64) ([]uint64, error)
 		}
 		return wideFromU64(r), nil
 	}
-	if len(n.Children) != len(info.cands) {
-		return nil, fmt.Errorf("core: operator %s has %d child slots, plan node has %d",
-			n.Expr.Name(), len(info.cands), len(n.Children))
-	}
 	var rl []uint64
 	base := []uint64{1}
 	for i, child := range n.Children {
-		j := -1
-		for idx, c := range info.cands[i] {
-			if c == child.Expr {
-				j = idx
-				break
-			}
-		}
-		if j < 0 {
-			return nil, fmt.Errorf("core: %s is not a valid child %d of %s in this space",
-				child.Expr.Name(), i, n.Expr.Name())
-		}
-		childLocal, err := s.rankExprWide(child, scratch)
+		x := &s.ctx[info.slots[i]]
+		j, err := childIndex(x, n, i)
 		if err != nil {
 			return nil, err
 		}
-		var prefixVal, bVal []uint64
-		if info.bW == nil || info.bW[i] == nil {
-			prefixVal = wideFromU64(info.prefix64[i][j])
-			bVal = wideFromU64(info.b64[i])
-		} else {
-			prefixVal = info.prefixW[i][j]
-			bVal = info.bW[i]
+		childLocal, err := s.rankExprWide(child)
+		if err != nil {
+			return nil, err
 		}
-		rl = wideAdd(rl, wideMul(wideAdd(prefixVal, childLocal), base))
-		base = wideMul(base, bVal)
+		rl = wideAdd(rl, wideMul(wideAdd(x.prefixAt(j), childLocal), base))
+		base = wideMul(base, x.base())
 	}
 	return rl, nil
+}
+
+// prefixAt returns the context's j-th prefix sum as canonical limbs.
+func (x *ctxInfo) prefixAt(j int) []uint64 {
+	if x.bW != nil {
+		return x.prefixW[j]
+	}
+	return wideFromU64(x.prefix64[j])
+}
+
+// base returns the context's base as canonical limbs.
+func (x *ctxInfo) base() []uint64 {
+	if x.bW != nil {
+		return x.bW
+	}
+	return wideFromU64(x.b64)
 }

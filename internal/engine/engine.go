@@ -205,9 +205,9 @@ type StructureSpace struct {
 	Memo        *memo.Memo
 	Space       *core.Space
 
-	// Struct is the opt-layer view of the same structure; it carries
-	// the shared costing skeleton, so every re-cost over this space
-	// skips the ordering-context analysis.
+	// Struct is the opt-layer view of the same structure. Its memo's
+	// plan graph is the one Space was counted over, so every re-cost
+	// over this space skips the ordering-context analysis.
 	Struct *opt.Structure
 }
 

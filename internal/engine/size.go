@@ -4,17 +4,16 @@ package engine
 // caches' byte accounting needs consistent, monotone estimates, and
 // crucially the two layers must not double-count: the structure prices
 // the memo and the counted space, the overlay prices only its own cost
-// tables and winner memo.
+// tables and winner tables.
 const (
 	structureOverhead = 8 << 10 // bound query + bookkeeping
 	overlayOverhead   = 2 << 10 // estimator, model, costing headers
-	winnerEntryBytes  = 96      // one (group, ordering) winner memo entry
 )
 
 // SizeBytes estimates the resident bytes this StructureSpace pins while
-// cached: the counted space's link structure and MEMO (the dominant
-// term — see core.Space.MemoryFootprint) plus the canonical SQL and a
-// fixed overhead for the query object. The SpaceCache's byte-budget
+// cached: the counted space's count tables, MEMO and plan graph (the
+// dominant term — see core.Space.MemoryFootprint) plus the canonical
+// SQL and a fixed overhead for the query object. The SpaceCache's byte-budget
 // eviction runs on this estimate; overlay bytes are accounted
 // separately by the OverlayCache (the /stats endpoint reports
 // structure_bytes and overlay_bytes side by side).
@@ -41,8 +40,7 @@ func (ov *CostOverlay) SizeBytes() int64 {
 	}
 	var n int64 = overlayOverhead
 	if ov.Costing != nil {
-		n += ov.Costing.Tables.MemoryBytes()
-		n += int64(ov.Costing.WinnerCount()) * winnerEntryBytes
+		n += ov.Costing.MemoryBytes()
 	}
 	if ov.OptimalRank != nil {
 		n += 32 + int64(len(ov.OptimalRank.Bits()))*8

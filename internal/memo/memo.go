@@ -10,6 +10,7 @@ package memo
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -241,6 +242,9 @@ type Memo struct {
 	AggGroup   *Group
 
 	exprSeq int
+
+	graphOnce sync.Once
+	graph     *Graph
 }
 
 // New returns an empty memo for a query.

@@ -14,7 +14,6 @@ package opt
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/cost"
@@ -35,17 +34,13 @@ func DefaultOptions() Options {
 }
 
 // Structure is the costless half of an optimization: the bound query
-// and the expanded MEMO, plus the lazily built costing skeleton (the
-// ordering-context layout of the winner search, which depends only on
-// the memo). It is immutable once built and safe to share across any
-// number of concurrent costings — the skeleton is built exactly once,
+// and the expanded MEMO. It is immutable once built and safe to share
+// across any number of concurrent costings. The winner search runs
+// over the memo's plan graph (memo.Graph), which counting derives too,
 // so re-costing a cached structure skips all of the context analysis.
 type Structure struct {
 	Query *algebra.Query
 	Memo  *memo.Memo
-
-	skOnce sync.Once
-	sk     *skeleton
 }
 
 // BuildStructure expands the search space for q under the given rule
@@ -56,13 +51,6 @@ func BuildStructure(q *algebra.Query, cfg rules.Config) (*Structure, error) {
 		return nil, err
 	}
 	return &Structure{Query: q, Memo: m}, nil
-}
-
-// skeletonOf returns the structure's costing skeleton, building it on
-// first use.
-func (s *Structure) skeletonOf() *skeleton {
-	s.skOnce.Do(func() { s.sk = buildSkeleton(s.Memo) })
-	return s.sk
 }
 
 // Costing is the cost overlay over one structure: per-group estimated
@@ -87,11 +75,10 @@ type Costing struct {
 // Cost computes an overlay for the structure under the given parameters
 // and (optionally nil) feedback correction factors: fill the cardinality
 // table, fill the local-cost table, then solve for the cheapest plan per
-// (group, ordering context) and extract the optimum from the root
-// group. The shared memo is only read, never written, and the context
-// skeleton is shared across costings.
+// context of the plan graph and extract the optimum from the root
+// context. The shared memo and its graph are only read, never written.
 func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, error) {
-	m, sk := s.Memo, s.skeletonOf()
+	m, gr := s.Memo, s.Memo.Graph()
 	est := cost.NewEstimator(s.Query, params)
 	if corr != nil {
 		est.SetCorrection(corr)
@@ -107,22 +94,20 @@ func (s *Structure) Cost(params cost.Params, corr cost.Correction) (*Costing, er
 		Params: params, Est: est, Model: model, Tables: tab,
 		Memo: m,
 		sol: &solution{
-			sk:     sk,
-			cost:   make([]float64, sk.maxExpr+1),
-			ok:     make([]bool, sk.maxExpr+1),
-			node:   make([]*plan.Node, sk.maxExpr+1),
-			win:    make([][]*memo.Expr, len(sk.ctxs)),
-			neBest: make([]*memo.Expr, len(sk.ctxs)),
+			graph:   gr,
+			cost:    make([]float64, len(gr.Slots)),
+			win:     make([]*memo.Expr, len(gr.Ctxs)),
+			winCost: make([]float64, len(gr.Ctxs)),
 		},
 	}
 	if err := c.solve(); err != nil {
 		return nil, err
 	}
-	best := c.sol.win[m.Root.ID][0]
+	best := c.sol.win[gr.Root]
 	if best == nil {
 		return nil, fmt.Errorf("opt: no plan found for root group")
 	}
-	c.Best = c.nodeOf(best)
+	c.Best = c.nodeOf(best, make(map[*memo.Expr]*plan.Node))
 	c.BestCost = c.sol.cost[best.ID]
 	return c, nil
 }

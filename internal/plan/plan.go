@@ -176,9 +176,4 @@ func (n *Node) Validate() error {
 
 // RequiredOf returns the ordering operator e imposes on child slot i
 // (nil when the slot is unconstrained or Required was left sparse).
-func RequiredOf(e *memo.Expr, i int) algebra.Ordering {
-	if i < len(e.Required) {
-		return e.Required[i]
-	}
-	return nil
-}
+func RequiredOf(e *memo.Expr, i int) algebra.Ordering { return e.RequiredOf(i) }

@@ -230,6 +230,36 @@ func TestStmtStringRoundTrips(t *testing.T) {
 	}
 }
 
+// TestStringLiteralQuotesRoundTrip: an embedded quote must render
+// doubled, or the canonical SQL the fingerprint hashes fails to parse.
+func TestStringLiteralQuotesRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		"SELECT a FROM t WHERE b = 'it''s'",
+		"SELECT a FROM t WHERE b LIKE '%''%'",
+		"SELECT a FROM t WHERE d = DATE '1995''03'",
+	} {
+		checkRoundTrip(t, src)
+	}
+}
+
+// checkRoundTrip parses src and requires render → parse → render to be
+// a fixed point.
+func checkRoundTrip(t *testing.T, src string) {
+	t.Helper()
+	stmt, err := Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	rendered := stmt.String()
+	stmt2, err := Parse(rendered)
+	if err != nil {
+		t.Fatalf("reparse of %q (from %q): %v", rendered, src, err)
+	}
+	if again := stmt2.String(); again != rendered {
+		t.Errorf("String not a fixpoint for %q:\n1: %s\n2: %s", src, rendered, again)
+	}
+}
+
 func TestUnaryMinusAndNot(t *testing.T) {
 	stmt, err := Parse("SELECT -a FROM t WHERE NOT a = 1")
 	if err != nil {

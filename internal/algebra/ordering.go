@@ -74,24 +74,6 @@ func (o Ordering) Satisfies(req Ordering) bool {
 	return true
 }
 
-// Key returns a canonical map key for the ordering.
-func (o Ordering) Key() string {
-	if len(o) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, c := range o {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", c.Col)
-		if c.Desc {
-			sb.WriteByte('-')
-		}
-	}
-	return sb.String()
-}
-
 // String renders the ordering for plan display.
 func (o Ordering) String() string {
 	if len(o) == 0 {

@@ -64,19 +64,6 @@ func TestSatisfiesReflexiveTransitiveProperty(t *testing.T) {
 	}
 }
 
-func TestOrderingKeyUniqueness(t *testing.T) {
-	a := Ordering{{Col: 1}, {Col: 2}}
-	b := Ordering{{Col: 1}, {Col: 2, Desc: true}}
-	c := Ordering{{Col: 12}}
-	keys := map[string]bool{a.Key(): true, b.Key(): true, c.Key(): true}
-	if len(keys) != 3 {
-		t.Errorf("orderings collide in Key(): %q %q %q", a.Key(), b.Key(), c.Key())
-	}
-	if (Ordering{}).Key() != "" {
-		t.Error("empty ordering key should be empty string")
-	}
-}
-
 func TestOrderingCloneIndependent(t *testing.T) {
 	a := ord(1, 2)
 	b := a.Clone()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/memo"
 )
@@ -53,16 +54,17 @@ func TestPlanGraphSharesContexts(t *testing.T) {
 func distinctContexts(m *memo.Memo) (slots, slotCands, ctxs, ctxCands int) {
 	type key struct {
 		group int
-		order string
+		order string // the ordering's String(), unique per ordering
 		enf   bool
 	}
-	seen := map[key]int{{m.Root.ID, "", false}: len(m.Root.Physical)}
+	var none algebra.Ordering
+	seen := map[key]int{{m.Root.ID, none.String(), false}: len(m.Root.Physical)}
 	for _, g := range m.Groups {
 		for _, e := range g.Physical {
 			if e.IsEnforcer() {
 				n := len(g.NonEnforcers())
 				slots, slotCands = slots+1, slotCands+n
-				seen[key{g.ID, "", true}] = n
+				seen[key{g.ID, none.String(), true}] = n
 				continue
 			}
 			for i, cg := range e.Children {
@@ -74,7 +76,7 @@ func distinctContexts(m *memo.Memo) (slots, slotCands, ctxs, ctxCands int) {
 					}
 				}
 				slots, slotCands = slots+1, slotCands+n
-				seen[key{cg.ID, req.Key(), false}] = n
+				seen[key{cg.ID, req.String(), false}] = n
 			}
 		}
 	}

@@ -47,10 +47,16 @@ type Ctx struct {
 }
 
 // Graph returns the memo's plan graph, deriving it on first use. The
-// memo must be fully expanded by then; operators added later are not
-// reflected.
+// memo must be fully expanded by then: deriving the graph seals the
+// memo, releasing every group's dedup index, and AddExpr panics from
+// then on.
 func (m *Memo) Graph() *Graph {
-	m.graphOnce.Do(func() { m.graph = buildGraph(m) })
+	m.graphOnce.Do(func() {
+		for _, g := range m.Groups {
+			g.dedup = nil
+		}
+		m.graph = buildGraph(m)
+	})
 	return m.graph
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -198,7 +199,7 @@ type Group struct {
 	// entry. Deterministic registration order.
 	InterestingOrders []algebra.Ordering
 
-	dedup map[string]*Expr
+	dedup map[uint64]*Expr // AddExpr's index, by exprHash; Graph drops it
 }
 
 // NonEnforcers returns the group's physical operators that are not
@@ -258,7 +259,7 @@ func New(q *algebra.Query) *Memo {
 
 // NewGroup creates and registers a group.
 func (m *Memo) NewGroup(kind GroupKind, rels algebra.RelSet) *Group {
-	g := &Group{ID: len(m.Groups) + 1, Kind: kind, RelSet: rels, dedup: make(map[string]*Expr)}
+	g := &Group{ID: len(m.Groups) + 1, Kind: kind, RelSet: rels, dedup: make(map[uint64]*Expr)}
 	m.Groups = append(m.Groups, g)
 	switch kind {
 	case GroupScan:
@@ -283,14 +284,28 @@ func (m *Memo) JoinGroup(s algebra.RelSet) (*Group, bool) {
 	return g, ok
 }
 
-// AddExpr creates an operator in a group. Duplicate operators (same kind,
-// children, payload, and property contract) are detected and the existing
-// operator returned, mirroring the MEMO's duplicate elimination the paper
-// mentions in Section 2.
+// AddExpr creates an operator in a group. Duplicate operators are
+// detected and the existing operator returned, mirroring the MEMO's
+// duplicate elimination the paper mentions in Section 2. Two operators
+// are duplicates when they agree on kind, child group IDs, scan
+// relation and index name, join spec (by identity), lookup relation,
+// index name and outer key count, sort order, and delivered and
+// required orderings (by content). The group's dedup index keys
+// operators by a structural hash of those fields, and sameExpr compares
+// the fields themselves, so a hash collision never merges two distinct
+// operators. AddExpr panics once Graph has sealed the memo.
 func (m *Memo) AddExpr(g *Group, e Expr) *Expr {
-	key := exprKey(&e)
-	if existing, ok := g.dedup[key]; ok {
-		return existing
+	if m.graph != nil {
+		panic("memo: AddExpr after Graph sealed the memo")
+	}
+	// Probe from the hash upward: a different operator under the same
+	// key sends the new one on to the next free key.
+	h := exprHash(&e)
+	for existing := g.dedup[h]; existing != nil; existing = g.dedup[h] {
+		if sameExpr(existing, &e) {
+			return existing
+		}
+		h++
 	}
 	ex := &e
 	m.exprSeq++
@@ -298,37 +313,103 @@ func (m *Memo) AddExpr(g *Group, e Expr) *Expr {
 	ex.Group = g
 	ex.Local = len(g.Exprs) + 1
 	g.Exprs = append(g.Exprs, ex)
-	g.dedup[key] = ex
+	g.dedup[h] = ex
 	if ex.Op.Physical() {
 		g.Physical = append(g.Physical, ex)
 	}
 	return ex
 }
 
-func exprKey(e *Expr) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|", e.Op)
+// exprHash hashes exactly the fields sameExpr compares.
+func exprHash(e *Expr) uint64 {
+	h := mix(0, uint64(e.Op))
+	h = mix(h, uint64(len(e.Children)))
 	for _, c := range e.Children {
-		fmt.Fprintf(&sb, "g%d,", c.ID)
+		h = mix(h, uint64(c.ID))
 	}
-	sb.WriteByte('|')
-	if e.Scan != nil {
-		fmt.Fprintf(&sb, "rel%d", e.Scan.Rel.Idx)
-		if e.Scan.Index != nil {
-			sb.WriteString("/" + e.Scan.Index.Name)
+	if s := e.Scan; s != nil {
+		h = mix(h, uint64(s.Rel.Idx))
+		if s.Index != nil {
+			h = mixString(h, s.Index.Name)
 		}
 	}
 	if e.Join != nil {
-		fmt.Fprintf(&sb, "join%p", e.Join)
+		h = mix(h, uint64(uintptr(unsafe.Pointer(e.Join))))
 	}
-	if e.Lookup != nil {
-		fmt.Fprintf(&sb, "lookup:rel%d/%s/%d", e.Lookup.Rel.Idx, e.Lookup.Index.Name, len(e.Lookup.OuterKeys))
+	if l := e.Lookup; l != nil {
+		h = mix(h, uint64(l.Rel.Idx))
+		h = mixString(h, l.Index.Name)
+		h = mix(h, uint64(len(l.OuterKeys)))
 	}
-	sb.WriteString("|" + e.SortOrder.Key() + "|" + e.Delivered.Key() + "|")
+	h = mixOrdering(h, e.SortOrder)
+	h = mixOrdering(h, e.Delivered)
 	for _, r := range e.Required {
-		sb.WriteString(r.Key() + ";")
+		h = mixOrdering(h, r)
 	}
-	return sb.String()
+	return h
+}
+
+// sameExpr reports whether a and b are duplicates in AddExpr's sense.
+// Orderings compare by content, so nil and empty are equal; Required
+// compares by length as well, so nil (or empty) and [nil] differ.
+func sameExpr(a, b *Expr) bool {
+	if a.Op != b.Op || a.Join != b.Join ||
+		len(a.Children) != len(b.Children) || len(a.Required) != len(b.Required) ||
+		!a.SortOrder.Equal(b.SortOrder) || !a.Delivered.Equal(b.Delivered) {
+		return false
+	}
+	for i, c := range a.Children {
+		if c.ID != b.Children[i].ID {
+			return false
+		}
+	}
+	for i, r := range a.Required {
+		if !r.Equal(b.Required[i]) {
+			return false
+		}
+	}
+	return sameScan(a.Scan, b.Scan) && sameLookup(a.Lookup, b.Lookup)
+}
+
+func sameScan(a, b *ScanSpec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Index == nil || b.Index == nil {
+		return a.Rel.Idx == b.Rel.Idx && a.Index == b.Index
+	}
+	return a.Rel.Idx == b.Rel.Idx && a.Index.Name == b.Index.Name
+}
+
+func sameLookup(a, b *LookupSpec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Rel.Idx == b.Rel.Idx && a.Index.Name == b.Index.Name && len(a.OuterKeys) == len(b.OuterKeys)
+}
+
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+func mixString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = mix(h, uint64(s[i]))
+	}
+	return mix(h, uint64(len(s)))
+}
+
+func mixOrdering(h uint64, o algebra.Ordering) uint64 {
+	h = mix(h, uint64(len(o)))
+	for _, c := range o {
+		v := uint64(uint32(c.Col)) << 1
+		if c.Desc {
+			v |= 1
+		}
+		h = mix(h, v)
+	}
+	return h
 }
 
 // Stats summarizes the memo's size.

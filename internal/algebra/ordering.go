@@ -1,8 +1,7 @@
 package algebra
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/data"
 )
@@ -30,11 +29,16 @@ type OrderCol struct {
 }
 
 // String renders the key as "#id" or "#id DESC".
-func (o OrderCol) String() string {
+func (o OrderCol) String() string { return string(o.AppendTo(nil)) }
+
+// AppendTo appends the key's String form to dst.
+func (o OrderCol) AppendTo(dst []byte) []byte {
+	dst = append(dst, '#')
+	dst = strconv.AppendInt(dst, int64(o.Col), 10)
 	if o.Desc {
-		return fmt.Sprintf("#%d DESC", o.Col)
+		dst = append(dst, " DESC"...)
 	}
-	return fmt.Sprintf("#%d", o.Col)
+	return dst
 }
 
 // Ordering is a sort order: a sequence of keys, major first. A nil or
@@ -74,16 +78,27 @@ func (o Ordering) Satisfies(req Ordering) bool {
 	return true
 }
 
-// String renders the ordering for plan display.
+// String renders the ordering for plan display: "(any)" when empty,
+// else its keys in parentheses, comma-separated.
 func (o Ordering) String() string {
+	var buf [64]byte
+	return string(o.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the ordering's String form to dst.
+func (o Ordering) AppendTo(dst []byte) []byte {
 	if len(o) == 0 {
-		return "(any)"
+		return append(dst, "(any)"...)
 	}
-	parts := make([]string, len(o))
 	for i, c := range o {
-		parts[i] = c.String()
+		if i == 0 {
+			dst = append(dst, '(')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = c.AppendTo(dst)
 	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return append(dst, ')')
 }
 
 // Clone returns an independent copy.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 )
 
 // The benchmarks below price the two production arithmetic tiers on
@@ -202,4 +203,117 @@ func BenchmarkSample(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCostRank measures reading a plan's cost straight off its
+// rank (CostInto, CostWideInto) for 1024 pre-drawn ranks: the per-plan
+// work of /sample and of the experiments' cost sampling. Production
+// rows reuse one warmed arena and must run at 0 allocs/op; the /ref
+// rows build the same plans on the math/big reference and cost each
+// tree with plan.Node.Cost.
+func BenchmarkCostRank(b *testing.B) {
+	for _, q := range []string{"Q5", "Q8", "Q9"} {
+		p := uint64Space(b, q)
+		smp, err := p.Sampler(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ranks := make([]uint64, 1024)
+		if err := smp.SampleRanks(ranks); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q+"/uint64", func(b *testing.B) {
+			var arena core.Arena
+			for _, r := range ranks {
+				if _, err := p.Space.CostInto(r, p.Opt.Model, &arena); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Space.CostInto(ranks[i%len(ranks)], p.Opt.Model, &arena); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		refRanks := make([]*big.Int, len(ranks))
+		for i, r := range ranks {
+			refRanks[i] = new(big.Int).SetUint64(r)
+		}
+		b.Run(q+"/ref", func(b *testing.B) { benchRefCost(b, p, refRanks) })
+	}
+
+	p8 := q8Cross(b)
+	smp8, err := p8.Sampler(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wideRanks := make([][]uint64, 1024)
+	refRanks := make([]*big.Int, len(wideRanks))
+	buf := make([]uint64, p8.Space.RankLimbs())
+	for i := range wideRanks {
+		wideRanks[i] = append([]uint64(nil), smp8.NextRankInto(buf)...)
+		refRanks[i] = core.BigFromLimbs(wideRanks[i])
+	}
+	b.Run("Q8cross/wide", func(b *testing.B) {
+		var arena core.Arena
+		for _, r := range wideRanks {
+			if _, err := p8.Space.CostWideInto(r, p8.Opt.Model, &arena); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p8.Space.CostWideInto(wideRanks[i%len(wideRanks)], p8.Opt.Model, &arena); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Q8cross/ref", func(b *testing.B) { benchRefCost(b, p8, refRanks) })
+}
+
+// benchRefCost is a /ref row of BenchmarkCostRank: the reference's
+// unrank plus plan.Node.Cost.
+func benchRefCost(b *testing.B, p *engine.Prepared, ranks []*big.Int) {
+	ref := core.NewRef(p.Opt.Memo, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl, err := ref.Unrank(ranks[i%len(ranks)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.Cost(p.Opt.Model); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRender measures rendering one plan tree (plan.Node.String)
+// over 256 seeded Q5 plans: the append formatters on the /append row,
+// the fmt-based renderer they replaced (fmtRender, render_test.go) on
+// the /ref row.
+func BenchmarkRender(b *testing.B) {
+	p := uint64Space(b, "Q5")
+	smp, err := p.Sampler(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans, err := smp.Sample(256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name   string
+		render func(*plan.Node) string
+	}{{"Q5/append", (*plan.Node).String}, {"Q5/ref", fmtRender}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = row.render(plans[i%len(plans)])
+			}
+		})
+	}
 }

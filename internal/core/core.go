@@ -21,7 +21,9 @@
 // with a prefix-sum row per context for rank selection. Unranking
 // decomposes a rank into a root-operator choice plus one sub-rank per
 // child slot in the mixed-radix system whose digit bases are the slots'
-// context bases (Section 3.3).
+// context bases (Section 3.3). Cost by rank (costrank.go) walks the
+// same decomposition and returns the plan's cost without building the
+// plan, which is all a sampled plan is usually wanted for.
 //
 // Arithmetic is tiered. Counting runs bottom-up in overflow-checked
 // uint64; when the total N and every reachable base fit in 64 bits —

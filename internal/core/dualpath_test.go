@@ -290,9 +290,6 @@ func TestOverflowBoundary(t *testing.T) {
 	if _, err := over.Unrank64(0); err == nil {
 		t.Fatal("Unrank64 succeeded on the wide tier")
 	}
-	if _, err := over.UnrankBatch([]uint64{0}); err == nil {
-		t.Fatal("UnrankBatch succeeded on the wide tier")
-	}
 	if _, err := over.NewIter(); err == nil {
 		t.Fatal("NewIter succeeded on a 2^64-plan space")
 	}
@@ -388,20 +385,6 @@ func TestSampleRanksMatchesNextRank(t *testing.T) {
 	for i, r := range dst {
 		if single := b.NextRank64(); single != r {
 			t.Fatalf("batch draw %d = %d, single draw = %d", i, r, single)
-		}
-	}
-	// UnrankBatch materializes the same plans as one-by-one unranking.
-	plans, err := s.UnrankBatch(dst[:32])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range plans {
-		q, err := s.Unrank64(dst[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Digest() != q.Digest() {
-			t.Fatalf("UnrankBatch plan %d differs", i)
 		}
 	}
 }

@@ -21,6 +21,9 @@ func NewRef(m *memo.Memo, keep func(*memo.Expr) bool) *Ref { return newRef(m, ke
 // BigFromLimbs is the reference's limb conversion.
 func BigFromLimbs(x []uint64) *big.Int { return bigFromLimbs(x) }
 
+// LimbsOf converts a non-negative big.Int into canonical limbs.
+func LimbsOf(x *big.Int) []uint64 { return bigToLimbs(x, nil) }
+
 // Graph returns the memo plan graph the space was counted over.
 func (s *Space) Graph() *memo.Graph { return s.graph }
 

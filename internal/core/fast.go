@@ -14,19 +14,23 @@ import (
 // mixed-radix decomposition cannot overflow (every intermediate value
 // is bounded by the total).
 
-// Arena is a reusable allocation buffer for the fast unranking path.
-// Plan nodes and child-pointer slices are carved out of backing arrays
-// that are truncated — not freed — between calls, so steady-state
-// UnrankInto performs zero heap allocations. Plans built from an Arena
-// are valid only until the next call that resets it; callers that
-// retain plans must use Unrank64 (fresh allocations) instead. The zero
-// value is ready to use. An Arena must not be shared across goroutines.
+// Arena is a reusable allocation buffer for the fast unranking and
+// cost-by-rank paths. Plan nodes and child-pointer slices are carved
+// out of backing arrays that are truncated — not freed — between calls,
+// so steady-state UnrankInto and CostInto perform zero heap
+// allocations. Plans built from an Arena are valid only until the next
+// call that resets it; callers that retain plans must use Unrank64
+// (fresh allocations) instead. The zero value is ready to use. An Arena
+// must not be shared across goroutines.
 type Arena struct {
 	nodes []plan.Node
 	kids  []*plan.Node
 
+	// costs is the cost-by-rank walks' child-cost stack.
+	costs []float64
+
 	// wide holds the limb scratch of the wide tier's decomposer, so one
-	// Arena serves UnrankInto and UnrankWideInto alike.
+	// Arena serves both tiers alike.
 	wide WideArena
 }
 
@@ -35,6 +39,7 @@ type Arena struct {
 func (a *Arena) Reset() {
 	a.nodes = a.nodes[:0]
 	a.kids = a.kids[:0]
+	a.costs = a.costs[:0]
 	a.wide.Reset()
 }
 
@@ -120,7 +125,7 @@ func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, err
 		x := &s.ctx[c]
 		b := x.b64
 		if b == 0 {
-			return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
+			return nil, errNoCandidates(e, i)
 		}
 		// Division by the slot base rides the precomputed reciprocal: a
 		// multiply-high instead of a hardware DIV, per slot, per unrank.
@@ -135,9 +140,17 @@ func (s *Space) unrankExpr64(e *memo.Expr, rl uint64, a *Arena) (*plan.Node, err
 		node.Children[i] = child
 	}
 	if rem != 0 {
-		return nil, fmt.Errorf("core: local rank overflow at operator %s", e.Name())
+		return nil, errRankOverflow(e)
 	}
 	return node, nil
+}
+
+func errNoCandidates(e *memo.Expr, slot int) error {
+	return fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), slot)
+}
+
+func errRankOverflow(e *memo.Expr) error {
+	return fmt.Errorf("core: local rank overflow at operator %s", e.Name())
 }
 
 // selectByPrefix64 returns the index k with prefix[k] <= r <
@@ -248,22 +261,4 @@ func indexOf(cands []*memo.Expr, e *memo.Expr) int {
 		}
 	}
 	return -1
-}
-
-// UnrankBatch unranks every rank into a freshly allocated plan. It is
-// the bulk companion of Sampler.SampleRanks: draw a batch of ranks,
-// then materialize the plans that must outlive any arena.
-func (s *Space) UnrankBatch(ranks []uint64) ([]*plan.Node, error) {
-	if !s.fits {
-		return nil, s.errNotUint64()
-	}
-	out := make([]*plan.Node, len(ranks))
-	for i, r := range ranks {
-		p, err := s.unrank64(r, nil)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"strconv"
 
+	"repro/internal/cost"
 	"repro/internal/plan"
 )
 
@@ -83,8 +85,8 @@ func (smp *Sampler) NextRank64() uint64 {
 }
 
 // SampleRanks fills dst with uniform ranks in [0, N) — the batched,
-// allocation-free form of NextRank64. Pair with Space.UnrankBatch (or
-// UnrankInto under one arena) to materialize the plans.
+// allocation-free form of NextRank64. Pair with UnrankInto under one
+// arena to materialize the plans, or CostInto to cost them.
 func (smp *Sampler) SampleRanks(dst []uint64) error {
 	if !smp.fast {
 		return smp.space.errNotUint64()
@@ -148,6 +150,99 @@ func (smp *Sampler) SampleRanksWideInto(dst []uint64, k int) error {
 		// zeros and safe to hand to wideNorm.
 		for j := len(r); j < stride; j++ {
 			row[j] = 0
+		}
+	}
+	return nil
+}
+
+// Draw is one plan drawn by SampleCosts, valid only inside the visit
+// call that receives it.
+type Draw struct {
+	space *Space
+	arena *Arena
+	r64   uint64   // the rank on the uint64 tier
+	rw    []uint64 // the rank's canonical limbs on the wide tier
+}
+
+// AppendRank appends the drawn rank in decimal; on the wide tier the
+// digits come from limb arithmetic in the loop's arena, with no
+// math/big.
+func (d *Draw) AppendRank(dst []byte) []byte {
+	if d.space.fits {
+		return strconv.AppendUint(dst, d.r64, 10)
+	}
+	d.arena.wide.Reset()
+	return AppendWideDecimal(dst, d.rw, &d.arena.wide)
+}
+
+// Plan unranks the drawn plan into the loop's arena. The tree is valid
+// until visit returns.
+func (d *Draw) Plan() (*plan.Node, error) {
+	if d.space.fits {
+		return d.space.UnrankInto(d.r64, d.arena)
+	}
+	return d.space.UnrankWideInto(d.rw, d.arena)
+}
+
+// SampleCosts draws len(costs) uniform plans and writes each plan's
+// cost under m, read straight off its rank (CostInto, CostWideInto):
+// no plan tree is built. It is the one draw-and-cost loop per tier,
+// shared by the plan-space server's /sample and the experiments' cost
+// sampling. Ranks are drawn in batches (SampleRanks,
+// SampleRanksWideInto), which consume the generator exactly like
+// NextRank64 and NextRankInto, and one arena serves every draw, so the
+// loop allocates nothing per plan. visit, when non-nil, is called with
+// each draw after its cost is written; an error from visit stops the
+// loop.
+func (smp *Sampler) SampleCosts(m *cost.Model, costs []float64, visit func(i int, d *Draw) error) error {
+	s := smp.space
+	var a Arena
+	d := &Draw{space: s, arena: &a}
+	if smp.fast {
+		const chunk = 1024
+		var raw [chunk]uint64
+		for off := 0; off < len(costs); off += chunk {
+			n := min(len(costs)-off, chunk)
+			if err := smp.SampleRanks(raw[:n]); err != nil {
+				return err
+			}
+			for i, r := range raw[:n] {
+				c, err := s.CostInto(r, m, &a)
+				if err != nil {
+					return err
+				}
+				costs[off+i] = c
+				if visit != nil {
+					d.r64 = r
+					if err := visit(off+i, d); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
+	const chunk = 256
+	stride := len(smp.words)
+	raw := make([]uint64, chunk*stride)
+	for off := 0; off < len(costs); off += chunk {
+		n := min(len(costs)-off, chunk)
+		if err := smp.SampleRanksWideInto(raw, n); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			r := wideNorm(raw[i*stride : (i+1)*stride])
+			c, err := s.CostWideInto(r, m, &a)
+			if err != nil {
+				return err
+			}
+			costs[off+i] = c
+			if visit != nil {
+				d.rw = r
+				if err := visit(off+i, d); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil

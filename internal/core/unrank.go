@@ -43,6 +43,26 @@ func (s *Space) UnrankBigInto(r *big.Int, a *Arena) (*plan.Node, error) {
 	return s.unrankWide(limbs, a, &a.wide)
 }
 
+// MaxRankDigits bounds the decimal plan numbers ParseRank accepts. It
+// is far above any count a memo can reach (a space of 2^8191 plans has
+// 2,466 digits), and it keeps one request from spending seconds of CPU
+// parsing, and then echoing, a megabyte-long number.
+const MaxRankDigits = 4096
+
+// ParseRank parses a plan number written in decimal: a non-negative
+// integer of at most MaxRankDigits digits. Whether it is in range is
+// for the space to say.
+func ParseRank(text string) (*big.Int, error) {
+	if len(text) > MaxRankDigits {
+		return nil, fmt.Errorf("plan number of %d characters exceeds %d digits", len(text), MaxRankDigits)
+	}
+	r, ok := new(big.Int).SetString(text, 10)
+	if !ok || r.Sign() < 0 {
+		return nil, fmt.Errorf("invalid plan number %q", text)
+	}
+	return r, nil
+}
+
 // Rank computes the integer the given plan maps to — the inverse of
 // Unrank. It is used by property tests (Rank(Unrank(r)) == r) and to
 // answer the paper's "what number did the optimizer's own choice get?".

@@ -50,8 +50,7 @@ func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, err
 		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", limbsToBig(r), s.total)
 	}
 	e, local := s.root.pick(wa.put(r))
-	if info := s.info[e.ID]; info.fits {
-		v, _ := wideToU64(local)
+	if v, fits := s.fitsLocal(e, local); fits {
 		return s.unrankExpr64(e, v, a)
 	}
 	return s.unrankExprWide(e, local, a, wa)
@@ -105,47 +104,16 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 	}
 	rem := rl
 	for i, c := range info.slots {
-		x := &s.ctx[c]
-		var sub []uint64
-		if x.bW == nil {
-			// Single-limb lane: the context's base and prefix sums fit
-			// uint64 even though the node as a whole does not.
-			b := x.b64
-			if b == 0 {
-				return nil, fmt.Errorf("core: operator %s has no candidates for child %d", e.Name(), i)
-			}
-			var sub64 uint64
-			if len(rem) <= 1 {
-				// The remaining rank already fits one limb: reciprocal
-				// division, no call, no re-normalization.
-				var r0 uint64
-				if len(rem) == 1 {
-					r0 = rem[0]
-				}
-				q := x.div64.quo(r0)
-				sub64 = r0 - q*b
-				r0 = q
-				if r0 == 0 {
-					rem = rem[:0]
-				} else {
-					rem = rem[:1]
-					rem[0] = r0
-				}
-			} else {
-				rem, sub64 = wideDivModU64(rem, b)
-			}
-			sub = wa.Alloc(1)
-			sub[0] = sub64
-		} else {
-			rem, sub = wideDivMod(rem, x.bW, wa)
+		child, childLocal, rest, ok := s.ctx[c].stepWide(rem, wa)
+		if !ok {
+			return nil, errNoCandidates(e, i)
 		}
-		child, childLocal := x.pick(sub)
+		rem = rest
 		var (
 			ch  *plan.Node
 			err error
 		)
-		if ci := s.info[child.ID]; ci != nil && ci.fits {
-			v, _ := wideToU64(childLocal)
+		if v, fits := s.fitsLocal(child, childLocal); fits {
 			ch, err = s.unrankExpr64(child, v, a)
 		} else {
 			ch, err = s.unrankExprWide(child, childLocal, a, wa)
@@ -156,9 +124,62 @@ func (s *Space) unrankExprWide(e *memo.Expr, rl []uint64, a *Arena, wa *WideAren
 		node.Children[i] = ch
 	}
 	if len(rem) != 0 {
-		return nil, fmt.Errorf("core: local rank overflow at operator %s", e.Name())
+		return nil, errRankOverflow(e)
 	}
 	return node, nil
+}
+
+// stepWide takes one mixed-radix digit off the owned-scratch local rank
+// rem (mutated in place) at a slot that draws from context x, and
+// returns the selected candidate, its local rank
+// and the rank left for the following slots. A context whose base fits
+// uint64 decomposes on the single-limb lane even though the node as a
+// whole does not; ok is false when the context has no candidates.
+func (x *ctxInfo) stepWide(rem []uint64, wa *WideArena) (e *memo.Expr, local, rest []uint64, ok bool) {
+	if x.bW != nil {
+		var sub []uint64
+		rest, sub = wideDivMod(rem, x.bW, wa)
+		e, local = x.pick(sub)
+		return e, local, rest, true
+	}
+	b := x.b64
+	if b == 0 {
+		return nil, nil, nil, false
+	}
+	var sub64 uint64
+	if len(rem) <= 1 {
+		// The remaining rank already fits one limb: reciprocal
+		// division, no call, no re-normalization.
+		var r0 uint64
+		if len(rem) == 1 {
+			r0 = rem[0]
+		}
+		q := x.div64.quo(r0)
+		sub64 = r0 - q*b
+		if q == 0 {
+			rem = rem[:0]
+		} else {
+			rem = rem[:1]
+			rem[0] = q
+		}
+	} else {
+		rem, sub64 = wideDivModU64(rem, b)
+	}
+	sub := wa.Alloc(1)
+	sub[0] = sub64
+	e, local = x.pick(sub)
+	return e, local, rem, true
+}
+
+// fitsLocal reports whether operator e's whole subtree is counted in
+// uint64, and returns its local rank natively then: the wide walks hand
+// such a subtree straight to the native decomposer.
+func (s *Space) fitsLocal(e *memo.Expr, local []uint64) (uint64, bool) {
+	if info := s.info[e.ID]; info != nil && info.fits {
+		v, _ := wideToU64(local)
+		return v, true
+	}
+	return 0, false
 }
 
 // rankWide computes the rank of a plan on the wide tier — the inverse

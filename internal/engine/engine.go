@@ -311,11 +311,11 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 		engine:        s.engine,
 	}
 	if stmt.Option != nil {
-		n, ok := new(big.Int).SetString(stmt.Option.UsePlan, 10)
-		if !ok {
-			return nil, fmt.Errorf("engine: invalid USEPLAN number %q", stmt.Option.UsePlan)
+		n, err := core.ParseRank(stmt.Option.UsePlan)
+		if err != nil {
+			return nil, fmt.Errorf("engine: USEPLAN: %w", err)
 		}
-		if n.Sign() < 0 || n.Cmp(ss.Space.Count()) >= 0 {
+		if n.Cmp(ss.Space.Count()) >= 0 {
 			return nil, fmt.Errorf("engine: USEPLAN %s out of range: query has %s plans", n, ss.Space.Count())
 		}
 		p.UsePlan = n
@@ -373,13 +373,6 @@ func (p *Prepared) FitsUint64() bool { return p.Space.FitsUint64() }
 // (see core.Space.Arithmetic).
 func (p *Prepared) Arithmetic() string { return p.Space.Arithmetic() }
 
-// CountUint64 returns the plan count as a native uint64 when the fast
-// path is active.
-func (p *Prepared) CountUint64() (uint64, bool) { return p.Space.CountUint64() }
-
-// Unrank64 returns plan number r on the uint64 fast path.
-func (p *Prepared) Unrank64(r uint64) (*plan.Node, error) { return p.Space.Unrank64(r) }
-
 // OptimalPlan returns the optimizer's chosen plan under the current
 // costing.
 func (p *Prepared) OptimalPlan() *plan.Node { return p.Opt.Best }
@@ -424,6 +417,22 @@ func (p *Prepared) ScaledCostWith(n *plan.Node, buf *plan.CostBuf) (float64, err
 		return 0, err
 	}
 	return c / p.Opt.BestCost, nil
+}
+
+// SampleScaledCosts draws len(costs) uniform plans from smp and writes
+// their scaled costs, each read straight off its rank with no plan tree
+// built (core.Sampler.SampleCosts): the same float64s as unranking each
+// rank and calling ScaledCostWith. visit, when non-nil, sees every draw
+// (its rank, and its plan on demand) after the draw's cost is written;
+// the costs are scaled once the loop is done.
+func (p *Prepared) SampleScaledCosts(smp *core.Sampler, costs []float64, visit func(i int, d *core.Draw) error) error {
+	if err := smp.SampleCosts(p.Opt.Model, costs, visit); err != nil {
+		return err
+	}
+	for i := range costs {
+		costs[i] /= p.Opt.BestCost
+	}
+	return nil
 }
 
 // ExecuteWith runs a specific plan from this query's space under ctx

@@ -173,59 +173,16 @@ func sampleScaledCosts(p *engine.Prepared, cfg *Config) ([]float64, error) {
 }
 
 // sampleRegion fills out with scaled costs of uniform plans drawn under
-// seed. On the uint64 fast path it samples ranks in batches and unranks
-// them through one reused arena and cost stack — the sampled plan is
-// costed and discarded, so the loop is allocation-free after warm-up.
-// The wide limb tier (spaces beyond 2^64, e.g. Q8 with Cartesian
-// products) keeps the same steady-state profile: one reused limb
-// buffer, one arena, one cost stack. Both tiers see the same plans for
-// the same seed.
+// seed, each read straight off its rank (Prepared.SampleScaledCosts):
+// no plan tree is built, on either arithmetic tier, and the loop
+// allocates nothing per plan. Both tiers see the same plans for the
+// same seed.
 func sampleRegion(p *engine.Prepared, seed int64, out []float64) error {
 	smp, err := p.Sampler(seed)
 	if err != nil {
 		return err
 	}
-	var costBuf plan.CostBuf
-	if smp.Fast() {
-		const chunk = 1024
-		ranks := make([]uint64, chunk)
-		var arena core.Arena
-		for off := 0; off < len(out); off += chunk {
-			n := len(out) - off
-			if n > chunk {
-				n = chunk
-			}
-			if err := smp.SampleRanks(ranks[:n]); err != nil {
-				return err
-			}
-			for i, r := range ranks[:n] {
-				pl, err := p.Space.UnrankInto(r, &arena)
-				if err != nil {
-					return err
-				}
-				sc, err := p.ScaledCostWith(pl, &costBuf)
-				if err != nil {
-					return err
-				}
-				out[off+i] = sc
-			}
-		}
-		return nil
-	}
-	buf := make([]uint64, p.Space.RankLimbs())
-	var arena core.Arena
-	for i := range out {
-		pl, err := p.Space.UnrankWideInto(smp.NextRankInto(buf), &arena)
-		if err != nil {
-			return err
-		}
-		sc, err := p.ScaledCostWith(pl, &costBuf)
-		if err != nil {
-			return err
-		}
-		out[i] = sc
-	}
-	return nil
+	return p.SampleScaledCosts(smp, out, nil)
 }
 
 // Table1 computes one row of Table 1 for a named TPC-H query.

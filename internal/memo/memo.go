@@ -9,6 +9,7 @@ package memo
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"unsafe"
@@ -161,27 +162,54 @@ type Expr struct {
 func (e *Expr) IsEnforcer() bool { return e.Op.Enforcer() }
 
 // Name returns the paper-style "group.local" operator name, e.g. "7.7".
-func (e *Expr) Name() string { return fmt.Sprintf("%d.%d", e.Group.ID, e.Local) }
+func (e *Expr) Name() string {
+	var buf [24]byte
+	return string(e.AppendName(buf[:0]))
+}
+
+// AppendName appends the operator's Name to dst.
+func (e *Expr) AppendName(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(e.Group.ID), 10)
+	dst = append(dst, '.')
+	return strconv.AppendInt(dst, int64(e.Local), 10)
+}
 
 // Describe renders the operator with its payload for plan display.
 func (e *Expr) Describe() string {
-	var sb strings.Builder
-	sb.WriteString(e.Op.String())
+	var buf [64]byte
+	return string(e.AppendDescribe(buf[:0]))
+}
+
+// AppendDescribe appends the operator's Describe form to dst.
+func (e *Expr) AppendDescribe(dst []byte) []byte {
+	dst = append(dst, e.Op.String()...)
 	switch {
 	case e.Scan != nil && e.Scan.Index != nil:
-		fmt.Fprintf(&sb, "(%s.%s)", e.Scan.Rel.Name, e.Scan.Index.Name)
+		dst = append(dst, '(')
+		dst = append(dst, e.Scan.Rel.Name...)
+		dst = append(dst, '.')
+		dst = append(dst, e.Scan.Index.Name...)
+		dst = append(dst, ')')
 	case e.Scan != nil:
-		fmt.Fprintf(&sb, "(%s)", e.Scan.Rel.Name)
+		dst = append(dst, '(')
+		dst = append(dst, e.Scan.Rel.Name...)
+		dst = append(dst, ')')
 	case e.Op == Sort:
-		sb.WriteString(e.SortOrder.String())
+		dst = e.SortOrder.AppendTo(dst)
 	case e.Op == IndexNLJoin && e.Lookup != nil:
-		fmt.Fprintf(&sb, "(lookup %s.%s)", e.Lookup.Rel.Name, e.Lookup.Index.Name)
+		dst = append(dst, "(lookup "...)
+		dst = append(dst, e.Lookup.Rel.Name...)
+		dst = append(dst, '.')
+		dst = append(dst, e.Lookup.Index.Name...)
+		dst = append(dst, ')')
 	case e.Op == MergeJoin || e.Op == HashJoin || e.Op == NestedLoopJoin || e.Op == LogicalJoin:
 		if e.Join != nil {
-			fmt.Fprintf(&sb, "[%d preds]", len(e.Join.Equi)+len(e.Join.Residual))
+			dst = append(dst, '[')
+			dst = strconv.AppendInt(dst, int64(len(e.Join.Equi)+len(e.Join.Residual)), 10)
+			dst = append(dst, " preds]"...)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Group is a set of equivalent operators: every operator rooted here

@@ -112,22 +112,42 @@ func Equal(a, b *Node) bool {
 	return true
 }
 
-// String renders the plan as an indented tree.
+// String renders the plan as an indented tree: per operator, one line
+// of its Name, Describe and delivered ordering, indented two spaces per
+// level. Lines are built by the append formatters into one buffer
+// sized from the plan, so a tree renders in about one allocation.
 func (n *Node) String() string {
 	var sb strings.Builder
-	n.render(&sb, 0)
+	sb.Grow(64 * n.size())
+	var line [256]byte
+	n.render(&sb, line[:0], 0)
 	return sb.String()
 }
 
-func (n *Node) render(sb *strings.Builder, depth int) {
-	sb.WriteString(strings.Repeat("  ", depth))
-	fmt.Fprintf(sb, "%s %s", n.Expr.Name(), n.Expr.Describe())
-	if !n.Expr.Delivered.IsNone() {
-		fmt.Fprintf(sb, " delivers=%s", n.Expr.Delivered)
-	}
-	sb.WriteByte('\n')
+func (n *Node) size() int {
+	k := 1
 	for _, c := range n.Children {
-		c.render(sb, depth+1)
+		k += c.size()
+	}
+	return k
+}
+
+func (n *Node) render(sb *strings.Builder, line []byte, depth int) {
+	line = line[:0]
+	for i := 0; i < depth; i++ {
+		line = append(line, "  "...)
+	}
+	line = n.Expr.AppendName(line)
+	line = append(line, ' ')
+	line = n.Expr.AppendDescribe(line)
+	if !n.Expr.Delivered.IsNone() {
+		line = append(line, " delivers="...)
+		line = n.Expr.Delivered.AppendTo(line)
+	}
+	line = append(line, '\n')
+	sb.Write(line)
+	for _, c := range n.Children {
+		c.render(sb, line, depth+1)
 	}
 }
 

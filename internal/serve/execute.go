@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
 )
@@ -131,9 +132,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.execLimits.clamp(req.TimeoutMs, req.MaxRows, req.MaxIntermediateRows)
 	if req.Rank != "" {
-		rank, okRank := new(big.Int).SetString(req.Rank, 10)
-		if !okRank || rank.Sign() < 0 {
-			s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", req.Rank)
+		rank, err := core.ParseRank(req.Rank)
+		if err != nil {
+			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		opts.Rank = rank

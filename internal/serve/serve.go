@@ -13,8 +13,8 @@
 //	POST /prepare       — parse, optimize, count; returns fingerprint + space parameters
 //	POST /count         — plan count only
 //	POST /unrank        — batch of plan numbers → plan trees with scaled costs
-//	POST /sample        — k uniform plans; rides the uint64 batched fast path
-//	                      (or the allocation-free wide limb tier past 2^64 plans)
+//	POST /sample        — k uniform plans, each cost read straight off its rank
+//	                      (uint64 or wide limb tier); trees only with include_plans
 //	POST /explain       — EXPLAIN tree of the optimal plan or a numbered plan
 //	POST /execute       — run one plan (by rank / USEPLAN / optimal) under Governor limits
 //	POST /execute_batch — sample k plans and execute each under a per-plan budget
@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"math/big"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -63,7 +62,9 @@ import (
 
 // Request caps: a request body is metadata-sized, one unrank batch is
 // bounded like core's own batches, and one sample call is capped at the
-// paper's experiment scale ×10.
+// paper's experiment scale ×10. A sample that also renders its plan
+// trees is capped like an unrank batch: a Q8+cross tree runs to ~3 KB,
+// so 100,000 of them would hold ~300 MB of response in memory.
 const (
 	maxBodyBytes   = 1 << 20
 	maxUnrankBatch = 4096
@@ -187,7 +188,7 @@ func (s *Server) resolveSQL(w http.ResponseWriter, q QueryRequest) (string, bool
 		}
 		t, ok := s.resolve(q.Query)
 		if !ok {
-			s.writeErr(w, http.StatusNotFound, "unknown query %q", q.Query)
+			s.writeErr(w, http.StatusNotFound, "unknown query %.64q", q.Query)
 			return "", false
 		}
 		sqlText = t
@@ -329,9 +330,9 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 	var costBuf plan.CostBuf
 	var arena core.Arena
 	for _, text := range req.Ranks {
-		rank, okRank := new(big.Int).SetString(text, 10)
-		if !okRank || rank.Sign() < 0 {
-			s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", text)
+		rank, err := core.ParseRank(text)
+		if err != nil {
+			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// One arena serves the whole batch: on the uint64 and wide tiers
@@ -339,7 +340,7 @@ func (s *Server) handleUnrank(w http.ResponseWriter, r *http.Request) {
 		// rendered before the next iteration overwrites it).
 		pl, err := p.Space.UnrankBigInto(rank, &arena)
 		if err != nil {
-			s.writeErr(w, http.StatusUnprocessableEntity, "unrank %s: %v", rank, err)
+			s.writeErr(w, http.StatusUnprocessableEntity, "unrank: %v", err)
 			return
 		}
 		sc, err := p.ScaledCostWith(pl, &costBuf)
@@ -357,7 +358,7 @@ type SampleRequest struct {
 	QueryRequest
 	K            int   `json:"k"`
 	Seed         int64 `json:"seed"`
-	IncludePlans bool  `json:"include_plans,omitempty"` // also render plan trees (allocates per plan)
+	IncludePlans bool  `json:"include_plans,omitempty"` // also unrank and render plan trees (k <= 4096)
 }
 
 // SampleSummary aggregates the sampled scaled costs the way Table 1
@@ -394,6 +395,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "k = %d out of range (0, %d]", req.K, maxSampleK)
 		return
 	}
+	if req.IncludePlans && req.K > maxUnrankBatch {
+		s.writeErr(w, http.StatusBadRequest, "k = %d with include_plans exceeds the cap of %d plan trees", req.K, maxUnrankBatch)
+		return
+	}
 	p, ok := s.prepare(w, req.QueryRequest)
 	if !ok {
 		return
@@ -411,19 +416,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusUnprocessableEntity, "sampler: %v", err)
 		return
 	}
-	if smp.Fast() {
-		// The uint64 fast path: batched rank generation, arena-reused
-		// unranking, stack-reused costing. Beyond the response slices
-		// above, the loop allocates nothing per plan (the rank's decimal
-		// string is response encoding).
-		err = sampleFast(p, smp, ranks, costs, plans)
-	} else {
-		// The wide limb tier — spaces beyond 2^64 plans: reused limb
-		// buffer, arena-reused wide unranking, allocation-free decimal
-		// rendering. Same steady-state profile as the fast path.
-		err = sampleWide(p, smp, ranks, costs, plans)
-	}
-	if err != nil {
+	if err := sampleInto(p, smp, ranks, costs, plans); err != nil {
 		s.writeErr(w, http.StatusInternalServerError, "sampling: %v", err)
 		return
 	}
@@ -443,86 +436,26 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sampleFast draws len(ranks) plans on the uint64 path in chunks:
-// batched rank generation (Sampler.SampleRanks), one reused arena for
-// unranking, one reused cost stack. ranks and costs are the response
-// payload; when plans is non-nil (same length as ranks) each plan's
-// tree is rendered too (which allocates, and is priced accordingly by
-// the API contract).
-func sampleFast(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
-	const chunk = 1024
-	var raw [chunk]uint64
-	var arena core.Arena
-	var costBuf plan.CostBuf
-	var numBuf [20]byte // fits any uint64 decimal
-	for off := 0; off < len(ranks); off += chunk {
-		n := len(ranks) - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := smp.SampleRanks(raw[:n]); err != nil {
-			return err
-		}
-		for i, rk := range raw[:n] {
-			pl, err := p.Space.UnrankInto(rk, &arena)
+// sampleInto draws len(ranks) plans on either tier. ranks and costs are
+// the response payload; every scaled cost is read straight off its
+// rank, with no plan tree built. When plans is non-nil (same length as
+// ranks) each drawn plan is also unranked and rendered, which
+// allocates, and is capped accordingly by the API contract. Beyond
+// that, the loop allocates nothing per plan but the rank's decimal
+// string.
+func sampleInto(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
+	numBuf := make([]byte, 0, 64)
+	return p.SampleScaledCosts(smp, costs, func(i int, d *core.Draw) error {
+		ranks[i] = string(d.AppendRank(numBuf[:0]))
+		if plans != nil {
+			pl, err := d.Plan()
 			if err != nil {
 				return err
 			}
-			sc, err := p.ScaledCostWith(pl, &costBuf)
-			if err != nil {
-				return err
-			}
-			costs[off+i] = sc
-			ranks[off+i] = string(strconv.AppendUint(numBuf[:0], rk, 10))
-			if plans != nil {
-				plans[off+i] = pl.String()
-			}
+			plans[i] = pl.String()
 		}
-	}
-	return nil
-}
-
-// sampleWide draws plans on the wide limb tier in flat batches: one
-// SampleRanksWideInto call fills a chunk × RankLimbs limb buffer, then
-// each row unranks through one reused arena and renders its decimal
-// string through the arena's limb scratch — no math/big anywhere, no
-// per-plan allocation beyond the response strings, and one sampler
-// call per chunk instead of per plan.
-func sampleWide(p *engine.Prepared, smp *core.Sampler, ranks []string, costs []float64, plans []string) error {
-	const chunk = 256
-	stride := p.Space.RankLimbs()
-	raw := make([]uint64, chunk*stride)
-	var arena core.Arena
-	var dec core.WideArena
-	var costBuf plan.CostBuf
-	decBuf := make([]byte, 0, 64)
-	for off := 0; off < len(ranks); off += chunk {
-		n := len(ranks) - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := smp.SampleRanksWideInto(raw, n); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			rk := core.WideNorm(raw[i*stride : (i+1)*stride])
-			pl, err := p.Space.UnrankWideInto(rk, &arena)
-			if err != nil {
-				return err
-			}
-			sc, err := p.ScaledCostWith(pl, &costBuf)
-			if err != nil {
-				return err
-			}
-			costs[off+i] = sc
-			dec.Reset()
-			ranks[off+i] = string(core.AppendWideDecimal(decBuf[:0], rk, &dec))
-			if plans != nil {
-				plans[off+i] = pl.String()
-			}
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ExplainRequest asks for the EXPLAIN tree of the optimal plan (rank
@@ -564,13 +497,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		var okRank bool
-		if rank, okRank = new(big.Int).SetString(req.Rank, 10); !okRank || rank.Sign() < 0 {
-			s.writeErr(w, http.StatusBadRequest, "invalid plan number %q", req.Rank)
+		if rank, err = core.ParseRank(req.Rank); err != nil {
+			s.writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if pl, err = p.Unrank(rank); err != nil {
-			s.writeErr(w, http.StatusUnprocessableEntity, "unrank %s: %v", rank, err)
+			s.writeErr(w, http.StatusUnprocessableEntity, "unrank: %v", err)
 			return
 		}
 	}

@@ -275,9 +275,9 @@ func TestSampleWideTier(t *testing.T) {
 }
 
 // TestSampleWideLoopAllocationFree: the wide-tier sampling loop behind
-// /sample — limb rank draws, arena-reused wide unranking, stack
-// costing, arena-backed decimal rendering — must not allocate per plan
-// beyond the response strings, exactly like the uint64 loop.
+// /sample — limb rank draws, cost by rank on the arena's limb scratch
+// and cost stack, arena-backed decimal rendering — must not allocate
+// per plan beyond the response strings, exactly like the uint64 loop.
 func TestSampleWideLoopAllocationFree(t *testing.T) {
 	_, e := newTestServer(t)
 	sqlQ8, _ := tpch.Query("Q8")
@@ -298,11 +298,11 @@ func TestSampleWideLoopAllocationFree(t *testing.T) {
 	if !smp.Wide() {
 		t.Fatal("Q8+cross sampler should run the wide tier")
 	}
-	if err := sampleWide(p, smp, ranks, costs, nil); err != nil {
+	if err := sampleInto(p, smp, ranks, costs, nil); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if err := sampleWide(p, smp, ranks, costs, nil); err != nil {
+		if err := sampleInto(p, smp, ranks, costs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -444,8 +444,8 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestSampleLoopAllocationFree: the uint64 sampling loop behind /sample
-// — batched rank draws, arena unranking, stack costing — must not
-// allocate per plan. Response-payload slices (ranks, costs) are
+// — batched rank draws, cost by rank on the arena's cost stack — must
+// not allocate per plan. Response-payload slices (ranks, costs) are
 // preallocated by the handler and excluded here; the rank's decimal
 // string is the one allocation the loop makes, and it IS response
 // encoding.
@@ -467,11 +467,11 @@ func TestSampleLoopAllocationFree(t *testing.T) {
 		t.Fatal("Q9 should run the uint64 path")
 	}
 	// Warm-up run grows the arena and cost stack to steady state.
-	if err := sampleFast(p, smp, ranks, costs, nil); err != nil {
+	if err := sampleInto(p, smp, ranks, costs, nil); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if err := sampleFast(p, smp, ranks, costs, nil); err != nil {
+		if err := sampleInto(p, smp, ranks, costs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

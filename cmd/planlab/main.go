@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -61,6 +62,15 @@ func main() {
 func run(sf float64, seed int64, query, sqlText string, cross, count, dump, explain, jsonOut bool,
 	useplan string, enum, sample int, sseed int64, execute, fback bool, lim exec.Options) error {
 
+	// The plan number is parsed once, up front, for -useplan and -exec.
+	var rank *big.Int
+	if useplan != "" {
+		r, err := core.ParseRank(useplan)
+		if err != nil {
+			return err
+		}
+		rank = r
+	}
 	if sqlText == "" {
 		if query == "" {
 			return fmt.Errorf("provide -query (one of %s) or -sql", strings.Join(tpch.QueryNames(), ", "))
@@ -113,12 +123,8 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		}
 		fmt.Printf("optimal plan (cost %.2f, rank %s):\n%s", p.OptimalCost(), rank, tree)
 	}
-	if useplan != "" {
-		r, ok := new(big.Int).SetString(useplan, 10)
-		if !ok {
-			return fmt.Errorf("invalid plan number %q", useplan)
-		}
-		pl, err := p.Unrank(r)
+	if rank != nil {
+		pl, err := p.Unrank(rank)
 		if err != nil {
 			return err
 		}
@@ -126,11 +132,9 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 		if err != nil {
 			return err
 		}
-		fmt.Printf("plan %s (scaled cost %.3f):\n%s", r, sc, pl)
+		fmt.Printf("plan %s (scaled cost %.3f):\n%s", rank, sc, pl)
 	}
 	if enum > 0 {
-		// EnumerateRange dispatches to the uint64 fast path internally
-		// and slices huge spaces on the wide tier.
 		var printErr error
 		err := p.Space.EnumerateRange(big.NewInt(0), big.NewInt(int64(enum)), func(r *big.Int, pl *plan.Node) bool {
 			sc, cerr := p.ScaledCost(pl)
@@ -168,10 +172,7 @@ func run(sf float64, seed int64, query, sqlText string, cross, count, dump, expl
 	if execute {
 		// Session.Execute resolves -useplan, then OPTION (USEPLAN n),
 		// then the optimizer's choice.
-		opts := engine.ExecOptions{Timeout: lim.Timeout, MaxRows: lim.MaxRows, MaxIntermediateRows: lim.MaxIntermediateRows}
-		if useplan != "" {
-			opts.Rank, _ = new(big.Int).SetString(useplan, 10)
-		}
+		opts := engine.ExecOptions{Rank: rank, Timeout: lim.Timeout, MaxRows: lim.MaxRows, MaxIntermediateRows: lim.MaxIntermediateRows}
 		x, err := sess.Execute(context.Background(), sqlText, opts)
 		if err != nil {
 			return err

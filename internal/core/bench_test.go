@@ -21,7 +21,7 @@ import (
 func uint64Space(b *testing.B, q string) *engine.Prepared {
 	b.Helper()
 	p := tpchPrepared(b, q, false)
-	if !p.FitsUint64() {
+	if p.Space.Wide() {
 		b.Fatalf("%s space %s exceeds uint64; benchmark fixture invalid", q, p.Count())
 	}
 	return p
@@ -131,29 +131,7 @@ func BenchmarkUnrank(b *testing.B) {
 func BenchmarkSample(b *testing.B) {
 	for _, q := range []string{"Q5", "Q8", "Q9"} {
 		p := uint64Space(b, q)
-		b.Run(q+"/uint64", func(b *testing.B) {
-			var arena core.Arena
-			warm, err := p.Sampler(3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 1024; i++ {
-				if _, err := p.Space.UnrankInto(warm.NextRank64(), &arena); err != nil {
-					b.Fatal(err)
-				}
-			}
-			smp, err := p.Sampler(2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Space.UnrankInto(smp.NextRank64(), &arena); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(q+"/uint64", func(b *testing.B) { benchSample(b, p) })
 		b.Run(q+"/ref", func(b *testing.B) {
 			ref := core.NewRef(p.Opt.Memo, nil)
 			smp := ref.NewSampler(2)
@@ -168,30 +146,7 @@ func BenchmarkSample(b *testing.B) {
 	}
 
 	p8 := q8Cross(b)
-	b.Run("Q8cross/wide", func(b *testing.B) {
-		buf := make([]uint64, p8.Space.RankLimbs())
-		var arena core.Arena
-		warm, err := p8.Sampler(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 1024; i++ {
-			if _, err := p8.Space.UnrankWideInto(warm.NextRankInto(buf), &arena); err != nil {
-				b.Fatal(err)
-			}
-		}
-		smp, err := p8.Sampler(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p8.Space.UnrankWideInto(smp.NextRankInto(buf), &arena); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("Q8cross/wide", func(b *testing.B) { benchSample(b, p8) })
 	b.Run("Q8cross/ref", func(b *testing.B) {
 		ref := core.NewRef(p8.Opt.Memo, nil)
 		smp := ref.NewSampler(2)
@@ -203,6 +158,34 @@ func BenchmarkSample(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchSample is a production row of BenchmarkSample: NextRankInto
+// and UnrankWideInto, the one draw and unrank path of both tiers, into
+// one warmed arena.
+func benchSample(b *testing.B, p *engine.Prepared) {
+	buf := make([]uint64, p.Space.RankLimbs())
+	var arena core.Arena
+	warm, err := p.Sampler(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1024; i++ {
+		if _, err := p.Space.UnrankWideInto(warm.NextRankInto(buf), &arena); err != nil {
+			b.Fatal(err)
+		}
+	}
+	smp, err := p.Sampler(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Space.UnrankWideInto(smp.NextRankInto(buf), &arena); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkCostRank measures reading a plan's cost straight off its
@@ -301,9 +284,11 @@ func BenchmarkRender(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plans, err := smp.Sample(256)
-	if err != nil {
-		b.Fatal(err)
+	plans := make([]*plan.Node, 256)
+	for i := range plans {
+		if _, plans[i], err = smp.Next(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, row := range []struct {
 		name   string

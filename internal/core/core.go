@@ -25,18 +25,23 @@
 // same decomposition and returns the plan's cost without building the
 // plan, which is all a sampled plan is usually wanted for.
 //
-// Arithmetic is tiered. Counting runs bottom-up in overflow-checked
-// uint64; when the total N and every reachable base fit in 64 bits —
-// true for all of Table 1, which tops out at 4.4·10^12 — rank
-// selection, mixed-radix decomposition, ranking, and the sampler's
-// rejection loop run on native uint64 with no heap allocations (see
-// fast.go). Spaces beyond 2^64 (Q8 with Cartesian products holds
-// ~2.7·10^22 plans) route to the wide tier: fixed-allocation
-// little-endian []uint64 limb arithmetic (wide.go, widepath.go) whose
-// unrank/sample loops are likewise allocation-free after warm-up, and
-// which hands any subtree whose count fits uint64 straight back to the
-// native path. math/big appears only at the API boundary (Count, Unrank,
-// Rank, Enumerate); the differential tests check both tiers against an
+// Arithmetic is tiered; the API is not. Inside the package a rank is
+// canonical little-endian []uint64 limbs (wide.go) on both tiers, and
+// each operation has one entry point that takes it: UnrankWideInto,
+// CostWideInto, Rank, EnumerateRange and Sampler.NextRankInto. The
+// big.Int and uint64 forms (Unrank, UnrankBigInto, UnrankInto,
+// CostInto, SampleRanks) only convert a rank and call them. Counting
+// runs bottom-up in overflow-checked uint64 and spills to limbs where a
+// count overflows. The walks (widepath.go) use limb arithmetic only
+// where a node's count needs it, and hand every subtree whose count
+// fits uint64 to the native leaf (fast.go): reciprocal division,
+// prefix selection, no heap allocation. When the total N fits uint64 —
+// true for all of Table 1, which tops out at 4.4·10^12 — the walk drops
+// to the leaf at the root; spaces beyond 2^64 (Q8 with Cartesian
+// products holds ~2.7·10^22 plans) stay on limbs only near the top of
+// the plan. Every walk is allocation-free after warm-up. math/big
+// appears only at the API boundary (Count, Unrank, Rank, Enumerate);
+// the differential tests check every entry point against an
 // independent math/big reference that lives in the test files.
 package core
 
@@ -127,16 +132,15 @@ type Space struct {
 	root  *ctxInfo    // the root context: one rank range per root operator
 	cands candArena   // backing store for the filtered candidate lists (WithFilter)
 
-	total *big.Int // N, synthesized on both tiers for the API surface
+	total  *big.Int // N, for the API surface
+	totalW []uint64 // N as canonical limbs, on both tiers
 
 	// fits is true when the total count (and therefore every reachable
 	// base and prefix sum) fits in uint64 and WithWideArithmetic was
-	// not given; total64 is N then. Otherwise the wide tier serves the
-	// space and totalW is N.
-	fits    bool
-	total64 uint64
-	totalW  []uint64
-	tab     WideArena // backing store for every count table
+	// not given: the uint64 tier. Otherwise the wide tier serves the
+	// space.
+	fits bool
+	tab  WideArena // backing store for every count table
 }
 
 // Prepare counts the space over the memo's plan graph. It is the
@@ -187,15 +191,10 @@ func Prepare(m *memo.Memo, opts ...Option) (*Space, error) {
 	// selection on both tiers.
 	s.countCtx(gr.Root, &cfg)
 	s.root = &s.ctx[gr.Root]
-	if s.root.bW == nil && !cfg.forceWide {
-		s.fits = true
-		s.total64 = s.root.b64
-		s.total = new(big.Int).SetUint64(s.total64)
-		return s, nil
-	}
+	s.fits = s.root.bW == nil && !cfg.forceWide
 	s.totalW = s.root.bW
 	if s.totalW == nil {
-		s.totalW = s.tab.put(wideFromU64(s.root.b64))
+		s.totalW = wideFromU64(s.root.b64)
 	}
 	s.total = limbsToBig(s.totalW)
 	return s, nil
@@ -359,22 +358,9 @@ func wideFromU64(v uint64) []uint64 {
 // encodes. The returned value must not be mutated.
 func (s *Space) Count() *big.Int { return s.total }
 
-// FitsUint64 reports whether the uint64 fast path is active: the total
-// N (and with it every base and prefix sum reachable during unranking)
-// fits in 64 bits and WithWideArithmetic was not given. When true,
-// Unrank64, Rank64, UnrankInto, SampleRanks, and the pull iterator are
-// available and Unrank/Rank/Sampler dispatch to uint64 arithmetic
-// internally.
-func (s *Space) FitsUint64() bool { return s.fits }
-
-// Wide reports whether the wide limb tier serves the space — the
-// production path for every space beyond uint64 (and any space forced
-// with WithWideArithmetic).
+// Wide reports whether the wide limb tier serves the space — every
+// space beyond uint64, and any space forced with WithWideArithmetic.
 func (s *Space) Wide() bool { return !s.fits }
-
-// CountUint64 returns N as a native uint64 when the fast path is
-// active; ok is false on the wide tier.
-func (s *Space) CountUint64() (n uint64, ok bool) { return s.total64, s.fits }
 
 // Arithmetic names the tier serving the space — "uint64" or "wide" —
 // the canonical label for exports, reports, and CLIs.
@@ -386,14 +372,9 @@ func (s *Space) Arithmetic() string {
 }
 
 // RankLimbs returns the number of 64-bit limbs a rank of this space
-// occupies — the buffer size for NextRankInto and UnrankWideInto
+// occupies — the buffer size for NextRankInto and SampleRanksWideInto
 // callers.
-func (s *Space) RankLimbs() int {
-	if s.fits || len(s.totalW) == 0 {
-		return 1
-	}
-	return len(s.totalW)
-}
+func (s *Space) RankLimbs() int { return max(1, len(s.totalW)) }
 
 // CountFor returns N(v) for a specific operator — the number of plans
 // rooted in it (Figure 3's per-operator annotations). Zero for operators

@@ -16,40 +16,28 @@ import (
 // is therefore the same float64, bit for bit, as unranking r and
 // costing the tree, and cost keeps its one formula (Combine).
 
-// CostInto returns the cost under m of the plan with rank r on the
-// uint64 tier, using a's cost stack: after the arena has warmed up the
-// call performs no heap allocation. It resets a, so plans previously
-// built in a become invalid.
-func (s *Space) CostInto(r uint64, m *cost.Model, a *Arena) (float64, error) {
-	if !s.fits {
-		return 0, s.errNotUint64()
-	}
-	if r >= s.total64 {
-		return 0, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
-	}
-	a.Reset()
-	root := s.root
-	k := selectByPrefix64(root.prefix64, r)
-	return s.costExpr64(root.cands[k], r-root.prefix64[k], m, a)
-}
-
-// CostWideInto is CostInto on the wide tier, for a canonical
-// little-endian rank r (not modified): limb scratch comes from a, so a
-// warmed arena makes the call allocation-free.
+// CostWideInto returns the cost under m of the plan with canonical
+// little-endian rank r (not modified), using a's cost stack and limb
+// scratch: after the arena has warmed up the call performs no heap
+// allocation. It resets a, so plans previously built in a become
+// invalid.
 func (s *Space) CostWideInto(r []uint64, m *cost.Model, a *Arena) (float64, error) {
-	if s.fits {
-		return 0, s.errNotWide()
-	}
-	r = wideNorm(r)
-	if wideCmp(r, s.totalW) >= 0 {
-		return 0, fmt.Errorf("core: rank %s out of range [0, %s)", limbsToBig(r), s.total)
-	}
 	a.Reset()
-	e, local := s.root.pick(a.wide.put(r))
+	e, local, err := s.pickRoot(r, &a.wide)
+	if err != nil {
+		return 0, err
+	}
 	if v, fits := s.fitsLocal(e, local); fits {
 		return s.costExpr64(e, v, m, a)
 	}
 	return s.costExprWide(e, local, m, a)
+}
+
+// CostInto is CostWideInto for a rank held in one uint64, on either
+// tier.
+func (s *Space) CostInto(r uint64, m *cost.Model, a *Arena) (float64, error) {
+	limb := [1]uint64{r}
+	return s.CostWideInto(limb[:], m, a)
 }
 
 // costExpr64 returns the cost of the plan rooted at e with local rank

@@ -32,20 +32,20 @@ func treeCost(t *testing.T, s *core.Space, m *cost.Model, r *big.Int) float64 {
 	return c
 }
 
-// rankCost reads the cost of r off the space's production tier.
+// rankCost reads the cost of r off its rank (CostWideInto), and checks
+// that the uint64 adapter (CostInto) agrees bit for bit when r fits.
 func rankCost(t *testing.T, s *core.Space, m *cost.Model, r *big.Int, a *core.Arena) float64 {
 	t.Helper()
-	var (
-		c   float64
-		err error
-	)
-	if s.FitsUint64() {
-		c, err = s.CostInto(r.Uint64(), m, a)
-	} else {
-		c, err = s.CostWideInto(core.LimbsOf(r), m, a)
-	}
+	c, err := s.CostWideInto(core.LimbsOf(r), m, a)
 	if err != nil {
 		t.Fatalf("cost by rank %s: %v", r, err)
+	}
+	if r.IsUint64() {
+		c64, err := s.CostInto(r.Uint64(), m, a)
+		if err != nil {
+			t.Fatalf("CostInto(%s): %v", r, err)
+		}
+		sameBits(t, "CostInto", r, c64, c)
 	}
 	return c
 }
@@ -184,24 +184,23 @@ func TestSampleCostsMatchesStream(t *testing.T) {
 	}
 }
 
-// TestCostByRankErrors: ranks out of range and the wrong tier's entry
-// point fail without touching the model.
+// TestCostByRankErrors: ranks out of range fail on both tiers, through
+// both entry points, without touching the model.
 func TestCostByRankErrors(t *testing.T) {
 	p := tpchPrepared(t, "Q5", false)
 	w := tpchPrepared(t, "Q8", true)
-	n, _ := p.Space.CountUint64()
 	var a core.Arena
-	if _, err := p.Space.CostInto(n, p.Opt.Model, &a); err == nil {
+	if _, err := p.Space.CostInto(p.Space.Count().Uint64(), p.Opt.Model, &a); err == nil {
 		t.Error("CostInto(N) succeeded")
 	}
-	if _, err := p.Space.CostWideInto([]uint64{1}, p.Opt.Model, &a); err == nil {
-		t.Error("CostWideInto on the uint64 tier succeeded")
-	}
-	if _, err := w.Space.CostInto(0, w.Opt.Model, &a); err == nil {
-		t.Error("CostInto on the wide tier succeeded")
+	if _, err := p.Space.CostWideInto(core.LimbsOf(p.Space.Count()), p.Opt.Model, &a); err == nil {
+		t.Error("CostWideInto(N) succeeded on the uint64 tier")
 	}
 	if _, err := w.Space.CostWideInto(core.LimbsOf(w.Space.Count()), w.Opt.Model, &a); err == nil {
 		t.Error("CostWideInto(N) succeeded")
+	}
+	if _, err := w.Space.CostWideInto([]uint64{0, 0, 1}, w.Opt.Model, &a); err == nil {
+		t.Error("CostWideInto(2^128) succeeded on a 75-bit space")
 	}
 }
 

@@ -55,27 +55,22 @@ func refDiff(t *testing.T, s *Space, ref *refSpace, r *big.Int, arena *Arena) {
 }
 
 // refStream checks that the space's sampler draws exactly the
-// reference's rank stream for seed — NextRank64 on the uint64 tier,
-// NextRankInto on the wide tier — and returns the ranks.
+// reference's rank stream for seed through NextRankInto, the one draw
+// routine on both tiers, and returns the ranks.
 func refStream(t *testing.T, s *Space, ref *refSpace, seed int64, n int) []*big.Int {
 	t.Helper()
 	smp, err := s.NewSampler(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smp.Fast() != s.FitsUint64() || smp.Wide() != s.Wide() {
+	if smp.Fast() == s.Wide() || smp.Wide() != s.Wide() {
 		t.Fatalf("sampler tier fast=%v wide=%v on a %s space", smp.Fast(), smp.Wide(), s.Arithmetic())
 	}
 	rs := ref.NewSampler(seed)
 	buf := make([]uint64, s.RankLimbs())
 	out := make([]*big.Int, n)
 	for i := range out {
-		var got *big.Int
-		if smp.Fast() {
-			got = new(big.Int).SetUint64(smp.NextRank64())
-		} else {
-			got = bigFromLimbs(smp.NextRankInto(buf))
-		}
+		got := bigFromLimbs(smp.NextRankInto(buf))
 		if want := rs.NextRank(); got.Cmp(want) != 0 {
 			t.Fatalf("draw %d: rank %s, reference %s", i, got, want)
 		}
@@ -95,11 +90,11 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := newRef(m, nil)
-	if !fast.FitsUint64() {
+	if fast.Wide() {
 		t.Fatal("25-plan fixture space should fit uint64")
 	}
-	if n, ok := fast.CountUint64(); !ok || n != 25 {
-		t.Fatalf("CountUint64 = %d, %v; want 25, true", n, ok)
+	if fast.Count().Cmp(big.NewInt(25)) != 0 {
+		t.Fatalf("Count = %s; want 25", fast.Count())
 	}
 	refCounts(t, fast, ref)
 
@@ -108,9 +103,9 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 	var arena Arena
 	for r := uint64(0); r < 25; r++ {
 		refDiff(t, fast, ref, new(big.Int).SetUint64(r), &arena)
-		pf, err := fast.Unrank64(r)
+		pf, err := fast.UnrankInto(r, nil)
 		if err != nil {
-			t.Fatalf("Unrank64(%d): %v", r, err)
+			t.Fatalf("UnrankInto(%d, nil): %v", r, err)
 		}
 		pa, err := fast.UnrankInto(r, &arena)
 		if err != nil {
@@ -118,10 +113,6 @@ func TestDualPathDifferentialFixture(t *testing.T) {
 		}
 		if pa.Digest() != pf.Digest() {
 			t.Fatalf("rank %d: arena plan differs from fresh plan", r)
-		}
-		back, err := fast.Rank64(pf)
-		if err != nil || back != r {
-			t.Fatalf("Rank64(Unrank64(%d)) = %d, %v", r, back, err)
 		}
 	}
 
@@ -140,11 +131,8 @@ func TestDualPathDifferentialStar(t *testing.T) {
 	} {
 		s, _ := prepared(t, query)
 		ref := newRef(s.Memo, nil)
-		if !s.FitsUint64() {
+		if s.Wide() || s.RankLimbs() != 1 {
 			t.Fatalf("star space %s should fit uint64", s.Count())
-		}
-		if n, ok := s.CountUint64(); !ok || new(big.Int).SetUint64(n).Cmp(s.Count()) != 0 {
-			t.Fatalf("CountUint64 = %d, %v; want %s", n, ok, s.Count())
 		}
 		refCounts(t, s, ref)
 
@@ -159,8 +147,8 @@ func TestDualPathDifferentialStar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("UnrankInto(%s): %v", r, err)
 			}
-			if back, err := s.Rank64(pf); err != nil || back != r.Uint64() {
-				t.Fatalf("Rank64 round trip: %s -> %d, %v", r, back, err)
+			if back, err := s.Rank(pf); err != nil || back.Cmp(r) != 0 {
+				t.Fatalf("UnrankInto round trip: %s -> %s, %v", r, back, err)
 			}
 		}
 	}
@@ -248,28 +236,27 @@ func TestOverflowBoundary(t *testing.T) {
 	if fits.Count().Cmp(want) != 0 {
 		t.Fatalf("chain count = %s, want 2^63", fits.Count())
 	}
-	if !fits.FitsUint64() {
+	if fits.Wide() || fits.RankLimbs() != 1 {
 		t.Fatal("2^63-plan space should fit uint64")
-	}
-	if n, ok := fits.CountUint64(); !ok || n != 1<<63 {
-		t.Fatalf("CountUint64 = %d, %v; want 2^63", n, ok)
 	}
 	// Round-trip the extremes of the uint64 regime.
 	for _, r := range []uint64{0, 1<<63 - 1, 1 << 62} {
-		p, err := fits.Unrank64(r)
+		p, err := fits.UnrankInto(r, nil)
 		if err != nil {
-			t.Fatalf("Unrank64(%d): %v", r, err)
+			t.Fatalf("UnrankInto(%d): %v", r, err)
 		}
-		back, err := fits.Rank64(p)
-		if err != nil || back != r {
-			t.Fatalf("Rank64(Unrank64(%d)) = %d, %v", r, back, err)
+		back, err := fits.Rank(p)
+		if err != nil || !back.IsUint64() || back.Uint64() != r {
+			t.Fatalf("Rank(UnrankInto(%d)) = %s, %v", r, back, err)
 		}
+	}
+	if _, err := fits.UnrankInto(1<<63, nil); err == nil {
+		t.Fatal("UnrankInto(N) succeeded")
 	}
 
 	// 63 join levels: N = 2^64, one past uint64. Counting must move to
-	// the wide tier, the uint64 entry points must refuse, and the
-	// bijection must keep agreeing with the reference across the
-	// boundary.
+	// the wide tier, and the bijection must keep agreeing with the
+	// reference across the boundary.
 	m := chainMemo(63)
 	over, err := Prepare(m)
 	if err != nil {
@@ -281,17 +268,11 @@ func TestOverflowBoundary(t *testing.T) {
 		t.Fatalf("chain count = %s, want 2^64", over.Count())
 	}
 	refCounts(t, over, ref)
-	if over.FitsUint64() || !over.Wide() {
+	if !over.Wide() {
 		t.Fatalf("2^64-plan space tier = %s, want wide", over.Arithmetic())
 	}
-	if _, ok := over.CountUint64(); ok {
-		t.Fatal("CountUint64 ok on an overflowing space")
-	}
-	if _, err := over.Unrank64(0); err == nil {
-		t.Fatal("Unrank64 succeeded on the wide tier")
-	}
-	if _, err := over.NewIter(); err == nil {
-		t.Fatal("NewIter succeeded on a 2^64-plan space")
+	if over.RankLimbs() != 2 {
+		t.Fatalf("RankLimbs = %d for a 2^64-plan space, want 2", over.RankLimbs())
 	}
 	smp, err := over.NewSampler(5)
 	if err != nil {
@@ -301,7 +282,7 @@ func TestOverflowBoundary(t *testing.T) {
 		t.Fatal("sampler claims fast path on an overflowing space")
 	}
 	if err := smp.SampleRanks(make([]uint64, 1)); err == nil {
-		t.Fatal("SampleRanks succeeded on the wide tier")
+		t.Fatal("SampleRanks succeeded on a space whose ranks take two limbs")
 	}
 	// Ranks straddling 2^64-1: the largest uint64 rank and the last
 	// rank must both unrank and round-trip.
@@ -313,56 +294,17 @@ func TestOverflowBoundary(t *testing.T) {
 		new(big.Int).SetUint64(math.MaxUint64), // 2^64 - 1: the last rank
 	} {
 		refDiff(t, over, ref, r, &arena)
+		// Ranks below 2^64 go through the uint64 adapter on the wide
+		// tier too.
+		want, _ := ref.Unrank(r)
+		if got, err := over.UnrankInto(r.Uint64(), &arena); err != nil || !plan.Equal(got, want) {
+			t.Fatalf("UnrankInto(%s) on the wide tier disagrees with the reference (%v)", r, err)
+		}
 	}
 	// Sampling draws two words per attempt; the stream is the
 	// reference's.
 	for _, r := range refStream(t, over, ref, 5, 50) {
 		refDiff(t, over, ref, r, &arena)
-	}
-}
-
-// TestIterMatchesEnumerate checks the pull iterator against Enumerate
-// on a small optimizer-built space: same ranks, same plans, and the
-// arena reuse does not corrupt earlier decompositions.
-func TestIterMatchesEnumerate(t *testing.T) {
-	s, _ := prepared(t, "SELECT v1 FROM fact, d1 WHERE f1 = k1")
-	want := make(map[uint64]string)
-	err := s.Enumerate(func(r *big.Int, p *plan.Node) bool {
-		want[r.Uint64()] = p.Digest()
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := s.NewIter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for it.Next() {
-		if d := it.Plan().Digest(); d != want[it.Rank()] {
-			t.Fatalf("iterator rank %d: digest %s, want %s", it.Rank(), d, want[it.Rank()])
-		}
-		seen++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(want) {
-		t.Fatalf("iterator yielded %d plans, Enumerate %d", seen, len(want))
-	}
-
-	// Range iterator slices the same sequence.
-	rit, err := s.NewRangeIter(3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ranks []uint64
-	for rit.Next() {
-		ranks = append(ranks, rit.Rank())
-	}
-	if len(ranks) != 4 || ranks[0] != 3 || ranks[3] != 6 {
-		t.Fatalf("range iterator ranks = %v", ranks)
 	}
 }
 
@@ -383,8 +325,8 @@ func TestSampleRanksMatchesNextRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range dst {
-		if single := b.NextRank64(); single != r {
-			t.Fatalf("batch draw %d = %d, single draw = %d", i, r, single)
+		if single := b.NextRank(); !single.IsUint64() || single.Uint64() != r {
+			t.Fatalf("batch draw %d = %d, single draw = %s", i, r, single)
 		}
 	}
 }
@@ -425,24 +367,10 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n64, ok := tc.s.CountUint64()
-			if !ok {
-				t.Fatal("uniformity test needs the uint64 path")
-			}
-			n := int(n64)
+			n := int(tc.s.Count().Int64())
 			// Ground truth: the digest of every plan, by rank, from
-			// exhaustive enumeration through the pull iterator.
-			digestOf := make([]string, n)
-			it, err := tc.s.NewIter()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for it.Next() {
-				digestOf[it.Rank()] = it.Plan().Digest()
-			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
+			// exhaustive enumeration.
+			digestOf := enumerateDigests(t, tc.s)
 
 			draws := 40 * n
 			if draws < 20000 {
@@ -454,7 +382,7 @@ func TestSamplerUniformityAgainstEnumeration(t *testing.T) {
 			}
 			counts := make(map[string]int, n)
 			for i := 0; i < draws; i++ {
-				counts[digestOf[smp.NextRank64()]]++
+				counts[digestOf[smp.NextRank().Int64()]]++
 			}
 			if len(counts) != n {
 				t.Fatalf("observed %d distinct plans, space holds %d", len(counts), n)
@@ -489,16 +417,16 @@ func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
 	ref := newRef(m, nil)
 	var arena Arena
 	for i, r := range refStream(t, fast, ref, 8, 1000) {
-		p, err := fast.Unrank64(r.Uint64())
+		p, err := fast.UnrankInto(r.Uint64(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("plan %s invalid: %v", r, err)
 		}
-		back, err := fast.Rank64(p)
-		if err != nil || back != r.Uint64() {
-			t.Fatalf("fast round trip %s -> %d, %v", r, back, err)
+		back, err := fast.Rank(p)
+		if err != nil || back.Cmp(r) != 0 {
+			t.Fatalf("fast round trip %s -> %s, %v", r, back, err)
 		}
 		refDiff(t, fast, ref, r, &arena)
 		refDiff(t, wide, ref, r, &arena)
@@ -506,4 +434,25 @@ func TestPropertyRoundTripFixtureBothPaths(t *testing.T) {
 			refStream(t, wide, ref, 1009, 1000)
 		}
 	}
+}
+
+// enumerateDigests returns the digest of every plan of an enumerable
+// space, indexed by rank.
+func enumerateDigests(t *testing.T, s *Space) []string {
+	t.Helper()
+	var out []string
+	err := s.Enumerate(func(r *big.Int, p *plan.Node) bool {
+		if r.Int64() != int64(len(out)) {
+			t.Fatalf("Enumerate yielded rank %s after %d plans", r, len(out))
+		}
+		out = append(out, p.Digest())
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(out)) != s.Count().Int64() {
+		t.Fatalf("Enumerate yielded %d plans, space holds %s", len(out), s.Count())
+	}
+	return out
 }

@@ -7,20 +7,21 @@ import (
 	"repro/internal/plan"
 )
 
-// This file is the uint64 arithmetic path: the same bijection as
-// unrank.go, but with every base, prefix sum, and rank a native uint64.
-// It is only reachable when Space.FitsUint64() is true, which Prepare
-// establishes with overflow-checked counting; within that regime the
-// mixed-radix decomposition cannot overflow (every intermediate value
-// is bounded by the total).
+// This file is the native uint64 leaf of the walks: the same bijection
+// as widepath.go, but with every base, prefix sum and local rank a
+// native uint64. The wide walks drop into it at the first operator
+// whose whole subtree Prepare counted in uint64 (the root, on a space
+// whose total fits), and within such a subtree the mixed-radix
+// decomposition cannot overflow: every intermediate value is bounded
+// by the subtree's count.
 
-// Arena is a reusable allocation buffer for the fast unranking and
-// cost-by-rank paths. Plan nodes and child-pointer slices are carved
-// out of backing arrays that are truncated — not freed — between calls,
-// so steady-state UnrankInto and CostInto perform zero heap
-// allocations. Plans built from an Arena are valid only until the next
-// call that resets it; callers that retain plans must use Unrank64
-// (fresh allocations) instead. The zero value is ready to use. An Arena
+// Arena is a reusable allocation buffer for unranking and cost by
+// rank. Plan nodes and child-pointer slices are carved out of backing
+// arrays that are truncated — not freed — between calls, so
+// steady-state UnrankWideInto and CostWideInto (and their adapters)
+// perform zero heap allocations. Plans built from an Arena are valid
+// only until the next call that resets it; callers that retain plans
+// must use Unrank (fresh allocations) instead. The zero value is ready to use. An Arena
 // must not be shared across goroutines.
 type Arena struct {
 	nodes []plan.Node
@@ -54,44 +55,6 @@ func (a *Arena) newChildren(k int) []*plan.Node {
 		a.kids = append(a.kids, nil)
 	}
 	return a.kids[start : start+k : start+k]
-}
-
-// errNotUint64 reports use of a uint64-only entry point on a space served
-// by the wide tier.
-func (s *Space) errNotUint64() error {
-	return fmt.Errorf("core: space holds %s plans on the wide tier, beyond the uint64 fast path; use the wide or big.Int API", s.total)
-}
-
-// Unrank64 constructs the plan with rank r on the uint64 fast path,
-// allocating fresh nodes (the returned plan is independent of the
-// space and of any arena). It fails when the space is served by the
-// wide tier.
-func (s *Space) Unrank64(r uint64) (*plan.Node, error) {
-	return s.unrank64(r, nil)
-}
-
-// UnrankInto is Unrank64 building the plan inside a, reusing its
-// buffers: after the arena has warmed up, the call performs no heap
-// allocation. The returned plan is valid until the next UnrankInto or
-// Reset on the same arena.
-func (s *Space) UnrankInto(r uint64, a *Arena) (*plan.Node, error) {
-	if a == nil {
-		return s.unrank64(r, nil)
-	}
-	a.Reset()
-	return s.unrank64(r, a)
-}
-
-func (s *Space) unrank64(r uint64, a *Arena) (*plan.Node, error) {
-	if !s.fits {
-		return nil, s.errNotUint64()
-	}
-	if r >= s.total64 {
-		return nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, s.total64)
-	}
-	root := s.root
-	k := selectByPrefix64(root.prefix64, r)
-	return s.unrankExpr64(root.cands[k], r-root.prefix64[k], a)
 }
 
 // unrankExpr64 builds the plan rooted at e with local rank rl in
@@ -188,23 +151,8 @@ func selectByPrefix64(prefix []uint64, r uint64) int {
 	return base
 }
 
-// Rank64 computes the rank of a plan on the uint64 fast path — the
-// inverse of Unrank64.
-func (s *Space) Rank64(n *plan.Node) (uint64, error) {
-	if !s.fits {
-		return 0, s.errNotUint64()
-	}
-	k := indexOf(s.root.cands, n.Expr)
-	if k < 0 {
-		return 0, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
-	}
-	local, err := s.rankExpr64(n)
-	if err != nil {
-		return 0, err
-	}
-	return local + s.root.prefix64[k], nil
-}
-
+// rankExpr64 is the native leaf of Rank: the local rank of the plan
+// rooted at n, whose operator's subtree is counted in uint64.
 func (s *Space) rankExpr64(n *plan.Node) (uint64, error) {
 	info, err := s.rankInfo(n)
 	if err != nil {

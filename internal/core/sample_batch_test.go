@@ -73,8 +73,9 @@ func TestSampleRanksWideIntoMatchesStream(t *testing.T) {
 	}
 }
 
-// TestSampleRanksWideIntoErrors: tier and buffer-size misuse come back
-// as errors, not corruption.
+// TestSampleRanksWideIntoErrors: buffer-size misuse comes back as an
+// error, not corruption. A uint64-tier sampler takes the same call,
+// with a stride of one limb.
 func TestSampleRanksWideIntoErrors(t *testing.T) {
 	fast, err := Prepare(fixture.New().Memo)
 	if err != nil {
@@ -84,8 +85,11 @@ func TestSampleRanksWideIntoErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.SampleRanksWideInto(make([]uint64, 16), 4); err == nil {
-		t.Error("uint64-tier sampler accepted SampleRanksWideInto")
+	if err := fs.SampleRanksWideInto(make([]uint64, 3), 4); err == nil {
+		t.Error("short buffer accepted on the uint64 tier")
+	}
+	if err := fs.SampleRanksWideInto(make([]uint64, 4), 4); err != nil {
+		t.Errorf("uint64-tier SampleRanksWideInto: %v", err)
 	}
 
 	wide, err := Prepare(fixture.New().Memo, WithWideArithmetic())

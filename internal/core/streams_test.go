@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"hash/fnv"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -83,16 +82,8 @@ func streamHash(t *testing.T, s *core.Space) uint64 {
 	var wa core.WideArena
 	buf := make([]uint64, s.RankLimbs())
 	for i := 0; i < pinnedDraws; i++ {
-		text = text[:0]
-		switch s.Arithmetic() {
-		case "uint64":
-			text = strconv.AppendUint(text, smp.NextRank64(), 10)
-		case "wide":
-			wa.Reset()
-			text = core.AppendWideDecimal(text, smp.NextRankInto(buf), &wa)
-		default:
-			t.Fatalf("unexpected tier %s", s.Arithmetic())
-		}
+		wa.Reset()
+		text = core.AppendWideDecimal(text[:0], smp.NextRankInto(buf), &wa)
 		h.Write(append(text, ','))
 	}
 	return h.Sum64()

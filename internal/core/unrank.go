@@ -12,35 +12,46 @@ import (
 // counts, its local rank is decomposed into per-child sub-ranks in the
 // mixed-radix system with bases b_v(i), and each sub-rank is unranked
 // recursively in the child's candidate list. Unranking is O(m)
-// arithmetic operations for a plan of m operators — native uint64 when
-// the space fits (see fast.go), limb arithmetic otherwise (widepath.go).
+// arithmetic operations for a plan of m operators. The returned plan is
+// freshly allocated and independent of the space.
 func (s *Space) Unrank(r *big.Int) (*plan.Node, error) {
-	if s.fits && r.IsUint64() {
-		return s.unrank64(r.Uint64(), nil)
+	if r.Sign() < 0 {
+		return nil, s.errRange(r)
 	}
-	if r.Sign() < 0 || r.Cmp(s.total) >= 0 {
-		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", r, s.total)
-	}
-	return s.UnrankWide(bigToLimbs(r, nil))
+	return s.UnrankWideInto(bigToLimbs(r, nil), nil)
 }
 
-// UnrankBigInto is Unrank reusing an arena: the rank decomposes into
-// a's node and limb buffers with no steady-state allocation on either
-// tier. The returned plan is valid until the next unranking call on the
-// same arena.
+// UnrankBigInto is Unrank building the plan inside a: after the arena
+// has warmed up, the call performs no heap allocation on either tier.
+// The returned plan is valid until the next unranking call on the same
+// arena.
 func (s *Space) UnrankBigInto(r *big.Int, a *Arena) (*plan.Node, error) {
-	if r.Sign() < 0 || r.Cmp(s.total) >= 0 {
-		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", r, s.total)
-	}
-	if s.fits {
-		return s.UnrankInto(r.Uint64(), a)
-	}
-	if a == nil {
-		return s.UnrankWide(bigToLimbs(r, nil))
+	if r.Sign() < 0 || a == nil {
+		return s.Unrank(r)
 	}
 	a.Reset()
-	limbs := bigToLimbs(r, a.wide.Alloc(s.RankLimbs()))
-	return s.unrankWide(limbs, a, &a.wide)
+	return s.unrankWide(bigToLimbs(r, a.wide.Alloc(len(r.Bits()))), a, &a.wide)
+}
+
+// UnrankWideInto constructs the plan with canonical little-endian rank
+// r (not modified) inside a, reusing its node and limb buffers: after
+// the arena has warmed up, the call performs no heap allocation. The
+// returned plan is valid until the next unranking call or Reset on the
+// same arena; a nil arena allocates fresh nodes. It is the entry point
+// every other unranking call adapts to.
+func (s *Space) UnrankWideInto(r []uint64, a *Arena) (*plan.Node, error) {
+	if a == nil {
+		return s.unrankWide(r, nil, new(WideArena))
+	}
+	a.Reset()
+	return s.unrankWide(r, a, &a.wide)
+}
+
+// UnrankInto is UnrankWideInto for a rank held in one uint64, on either
+// tier.
+func (s *Space) UnrankInto(r uint64, a *Arena) (*plan.Node, error) {
+	limb := [1]uint64{r}
+	return s.UnrankWideInto(limb[:], a)
 }
 
 // MaxRankDigits bounds the decimal plan numbers ParseRank accepts. It
@@ -61,18 +72,4 @@ func ParseRank(text string) (*big.Int, error) {
 		return nil, fmt.Errorf("invalid plan number %q", text)
 	}
 	return r, nil
-}
-
-// Rank computes the integer the given plan maps to — the inverse of
-// Unrank. It is used by property tests (Rank(Unrank(r)) == r) and to
-// answer the paper's "what number did the optimizer's own choice get?".
-func (s *Space) Rank(n *plan.Node) (*big.Int, error) {
-	if !s.fits {
-		return s.rankWide(n)
-	}
-	r, err := s.Rank64(n)
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetUint64(r), nil
 }

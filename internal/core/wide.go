@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/bits"
+	"strconv"
 )
 
 // This file is the wide-integer arithmetic tier: fixed-allocation
@@ -320,12 +321,13 @@ func bigToLimbs(x *big.Int, buf []uint64) []uint64 {
 }
 
 // AppendWideDecimal renders a canonical limb slice in base 10 into dst
-// without any big.Int allocation: repeated division by 1e19 peels 19
-// digits at a time off a scratch copy carved from a. It is how the
-// plan-space service serializes wide ranks.
+// without any big.Int allocation: the same digits as strconv, which
+// renders a value that fits one limb; a longer one is peeled 19 digits
+// at a time off a scratch copy carved from a, by repeated division by
+// 1e19. It is how the plan-space service serializes ranks.
 func AppendWideDecimal(dst []byte, x []uint64, a *WideArena) []byte {
-	if len(x) == 0 {
-		return append(dst, '0')
+	if v, ok := wideToU64(x); ok {
+		return strconv.AppendUint(dst, v, 10)
 	}
 	const chunk = 1e19 // largest power of ten in a uint64
 	work := a.put(x)
@@ -337,32 +339,19 @@ func AppendWideDecimal(dst []byte, x []uint64, a *WideArena) []byte {
 		work, rem = wideDivModU64(work, chunk)
 		groups = append(groups, rem)
 	}
-	// Most significant group without padding, the rest zero-padded.
-	dst = appendUintPadded(dst, groups[len(groups)-1], false)
+	// Most significant group without padding, the rest zero-padded to
+	// 19 digits.
+	dst = strconv.AppendUint(dst, groups[len(groups)-1], 10)
 	for i := len(groups) - 2; i >= 0; i-- {
-		dst = appendUintPadded(dst, groups[i], true)
+		var buf [19]byte
+		v := groups[i]
+		for j := len(buf) - 1; j >= 0; j-- {
+			buf[j] = byte('0' + v%10)
+			v /= 10
+		}
+		dst = append(dst, buf[:]...)
 	}
 	return dst
-}
-
-func appendUintPadded(dst []byte, v uint64, pad bool) []byte {
-	var buf [19]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if pad {
-		for i > 0 {
-			i--
-			buf[i] = '0'
-		}
-	} else if i == len(buf) {
-		i--
-		buf[i] = '0'
-	}
-	return append(dst, buf[i:]...)
 }
 
 // selectByPrefixWide is selectByPrefix64's wide-limb analogue: the

@@ -209,10 +209,10 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := newRef(m, nil)
-	if !fast.FitsUint64() || fast.Arithmetic() != "uint64" {
+	if fast.Wide() || fast.Arithmetic() != "uint64" {
 		t.Fatalf("fast tier = %s", fast.Arithmetic())
 	}
-	if wide.FitsUint64() || !wide.Wide() || wide.Arithmetic() != "wide" {
+	if !wide.Wide() || wide.Arithmetic() != "wide" {
 		t.Fatalf("forced wide tier = %s", wide.Arithmetic())
 	}
 	refCounts(t, fast, ref)
@@ -228,9 +228,9 @@ func TestTriPathDifferentialFixture(t *testing.T) {
 	for r := uint64(0); r < 25; r++ {
 		refDiff(t, fast, ref, new(big.Int).SetUint64(r), &arena)
 		refDiff(t, wide, ref, new(big.Int).SetUint64(r), &arena)
-		pf, err := fast.Unrank64(r)
+		pf, err := fast.UnrankInto(r, nil)
 		if err != nil {
-			t.Fatalf("Unrank64(%d): %v", r, err)
+			t.Fatalf("UnrankInto(%d, nil): %v", r, err)
 		}
 		rankBuf[0] = r
 		pw, err := wide.UnrankWideInto(wideNorm(rankBuf), &arena)
@@ -363,22 +363,8 @@ func TestWideSamplerUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n64, ok := wideToU64(s.totalW)
-	if !ok {
-		t.Fatal("fixture space should be enumerable")
-	}
-	n := int(n64)
-	digestOf := make([]string, n)
-	it, err := s.NewIter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it.Next() {
-		digestOf[it.Rank()] = it.Plan().Digest()
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
+	digestOf := enumerateDigests(t, s)
+	n := len(digestOf)
 
 	draws := 40 * n
 	if draws < 20000 {

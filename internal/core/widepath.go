@@ -8,52 +8,44 @@ import (
 	"repro/internal/plan"
 )
 
-// This file wires the wide limb arithmetic of wide.go into the paper's
-// bijection: rank-range selection over wide prefix sums, mixed-radix
-// decomposition with wide (or single-limb) bases, rank reconstruction,
-// and the glue that hands any subtree whose count fits uint64 straight
-// to the native decomposer in fast.go. Every temporary is carved from a
-// WideArena, so a warmed UnrankWideInto performs zero heap allocations.
+// This file holds the walks every rank goes through: a rank is
+// canonical little-endian limbs (wide.go) at every entry point, on
+// both tiers. The walks select over wide prefix sums and decompose with
+// wide (or single-limb) bases only where a node's count needs it, and
+// hand any subtree whose count fits uint64 to the native leaf in
+// fast.go — on a space whose total fits, that is the root operator
+// itself, so the limb work is one root selection. Every temporary is
+// carved from a WideArena, so a warmed UnrankWideInto performs zero
+// heap allocations.
 
-// errNotWide reports use of a wide-only entry point off the wide tier.
-func (s *Space) errNotWide() error {
-	return fmt.Errorf("core: space runs on the uint64 tier, not wide; use the matching API")
-}
-
-// UnrankWide constructs the plan with canonical little-endian rank r on
-// the wide tier, allocating fresh nodes (the returned plan is
-// independent of the space and of any arena). r is not modified.
-func (s *Space) UnrankWide(r []uint64) (*plan.Node, error) {
-	var wa WideArena
-	return s.unrankWide(r, nil, &wa)
-}
-
-// UnrankWideInto is UnrankWide building the plan inside a, reusing its
-// node and limb buffers: after the arena has warmed up, the call
-// performs no heap allocation. The returned plan is valid until the
-// next unranking call or Reset on the same arena. r may point into a
-// caller-owned buffer; it is copied before decomposition.
-func (s *Space) UnrankWideInto(r []uint64, a *Arena) (*plan.Node, error) {
-	if a == nil {
-		return s.UnrankWide(r)
-	}
-	a.Reset()
-	return s.unrankWide(r, a, &a.wide)
-}
-
+// unrankWide builds the plan with rank r (canonical limbs, not
+// modified) in a — fresh heap nodes when a is nil — with limb scratch
+// from wa.
 func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
-	if s.fits {
-		return nil, s.errNotWide()
+	e, local, err := s.pickRoot(r, wa)
+	if err != nil {
+		return nil, err
 	}
-	r = wideNorm(r)
-	if wideCmp(r, s.totalW) >= 0 {
-		return nil, fmt.Errorf("core: rank %s out of range [0, %s)", limbsToBig(r), s.total)
-	}
-	e, local := s.root.pick(wa.put(r))
 	if v, fits := s.fitsLocal(e, local); fits {
 		return s.unrankExpr64(e, v, a)
 	}
 	return s.unrankExprWide(e, local, a, wa)
+}
+
+// pickRoot checks rank r (not modified) against N and selects the root
+// operator, returning it with its local rank as owned scratch from wa.
+func (s *Space) pickRoot(r []uint64, wa *WideArena) (*memo.Expr, []uint64, error) {
+	r = wideNorm(r)
+	if wideCmp(r, s.totalW) >= 0 {
+		return nil, nil, s.errRange(limbsToBig(r))
+	}
+	e, local := s.root.pick(wa.put(r))
+	return e, local, nil
+}
+
+// errRange reports a rank outside [0, N).
+func (s *Space) errRange(r *big.Int) error {
+	return fmt.Errorf("core: rank %s out of range [0, %s)", r, s.total)
 }
 
 // pick selects the candidate of the context holding local rank r
@@ -182,22 +174,21 @@ func (s *Space) fitsLocal(e *memo.Expr, local []uint64) (uint64, bool) {
 	return 0, false
 }
 
-// rankWide computes the rank of a plan on the wide tier — the inverse
-// of UnrankWide. It allocates (ranking is an API operation, not the
-// sampling hot loop).
-func (s *Space) rankWide(n *plan.Node) (*big.Int, error) {
-	if s.fits {
-		return nil, s.errNotWide()
-	}
+// Rank computes the integer the given plan maps to — the inverse of
+// Unrank. It is used by property tests (Rank(Unrank(r)) == r) and to
+// answer the paper's "what number did the optimizer's own choice get?".
+// It allocates (ranking is an API operation, not the sampling hot
+// loop).
+func (s *Space) Rank(n *plan.Node) (*big.Int, error) {
 	k := indexOf(s.root.cands, n.Expr)
-	if k >= 0 {
-		local, err := s.rankExprWide(n)
-		if err != nil {
-			return nil, err
-		}
-		return limbsToBig(wideAdd(local, s.root.prefixAt(k))), nil
+	if k < 0 {
+		return nil, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
 	}
-	return nil, fmt.Errorf("core: plan root %s is not a root-group operator of this space", n.Expr.Name())
+	local, err := s.rankExprWide(n)
+	if err != nil {
+		return nil, err
+	}
+	return limbsToBig(wideAdd(local, s.root.prefixAt(k))), nil
 }
 
 func (s *Space) rankExprWide(n *plan.Node) ([]uint64, error) {

@@ -365,10 +365,6 @@ func (p *Prepared) OverlayFingerprint() Fingerprint { return p.Overlay.Fingerpri
 // Count returns the number of execution plans in the space.
 func (p *Prepared) Count() *big.Int { return p.Space.Count() }
 
-// FitsUint64 reports whether the space runs on the uint64 fast path
-// (see core.Space.FitsUint64).
-func (p *Prepared) FitsUint64() bool { return p.Space.FitsUint64() }
-
 // Arithmetic names the tier serving the space — "uint64" or "wide"
 // (see core.Space.Arithmetic).
 func (p *Prepared) Arithmetic() string { return p.Space.Arithmetic() }

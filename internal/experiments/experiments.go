@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -55,14 +54,7 @@ type Table1Row struct {
 // re-optimizing.
 type Config struct {
 	SampleSize int   // paper: 10,000
-	Seed       int64 // sampling seed (experiments are deterministic)
-
-	// Workers shards sampling and plan costing. 0 picks GOMAXPROCS
-	// (capped); 1 forces the sequential path. For a fixed (Seed,
-	// SampleSize, Workers) the drawn sample is deterministic — worker w
-	// draws an independent stream seeded core.DeriveSeed(Seed, w) — but
-	// changing Workers changes which plans are drawn.
-	Workers int
+	Seed       int64 // sampling seed: with SampleSize, it alone fixes the drawn sample
 
 	// Rules overrides the rule configuration (nil: the full default
 	// set). The Cartesian flag of each experiment is applied on top.
@@ -109,18 +101,6 @@ func (c *Config) sessionFor(db *storage.DB, cross bool) *engine.Session {
 	return eng.Session(engine.WithCartesian(cross))
 }
 
-// workers resolves the sharding width.
-func (c *Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
 // ScaledCosts prepares a query, samples cfg.SampleSize plans uniformly,
 // and returns their costs scaled to the optimum, plus the prepared query.
 func ScaledCosts(db *storage.DB, sqlText string, cross bool, cfg *Config) ([]float64, *engine.Prepared, error) {
@@ -135,54 +115,18 @@ func ScaledCosts(db *storage.DB, sqlText string, cross bool, cfg *Config) ([]flo
 	return costs, p, nil
 }
 
-// sampleScaledCosts draws cfg.SampleSize uniform plans and costs them,
-// sharded across cfg.workers() workers. Each worker owns a sampler
-// seeded by core.DeriveSeed, an arena, and a cost stack, and fills a
-// fixed region of the output, so the result is reproducible for a given
-// (seed, size, workers) regardless of scheduling — and no per-plan
-// allocation survives any worker's loop.
+// sampleScaledCosts draws cfg.SampleSize uniform plans under cfg.Seed
+// and returns their scaled costs, each read straight off its rank
+// (Prepared.SampleScaledCosts): no plan tree is built, on either
+// arithmetic tier, and the loop allocates nothing per plan. Both tiers
+// see the same plans for the same seed.
 func sampleScaledCosts(p *engine.Prepared, cfg *Config) ([]float64, error) {
-	k := cfg.SampleSize
-	w := cfg.workers()
-	if w > k {
-		w = k
-	}
-	if w <= 1 {
-		costs := make([]float64, k)
-		return costs, sampleRegion(p, cfg.Seed, costs)
-	}
-	costs := make([]float64, k)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := i * k / w
-		hi := (i + 1) * k / w
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			errs[i] = sampleRegion(p, core.DeriveSeed(cfg.Seed, i), costs[lo:hi])
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return costs, nil
-}
-
-// sampleRegion fills out with scaled costs of uniform plans drawn under
-// seed, each read straight off its rank (Prepared.SampleScaledCosts):
-// no plan tree is built, on either arithmetic tier, and the loop
-// allocates nothing per plan. Both tiers see the same plans for the
-// same seed.
-func sampleRegion(p *engine.Prepared, seed int64, out []float64) error {
-	smp, err := p.Sampler(seed)
+	smp, err := p.Sampler(cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return p.SampleScaledCosts(smp, out, nil)
+	costs := make([]float64, cfg.SampleSize)
+	return costs, p.SampleScaledCosts(smp, costs, nil)
 }
 
 // Table1 computes one row of Table 1 for a named TPC-H query.
@@ -382,18 +326,6 @@ func Verify(db *storage.DB, sqlText string, maxExhaustive int, sampleSize int, s
 		}
 	}
 	return report, nil
-}
-
-// CountOnly prepares a query and reports just the space size and the
-// counting time (experiment E3: "counting never exceeded 1 second").
-func CountOnly(db *storage.DB, sqlText string, cross bool) (*big.Int, time.Duration, error) {
-	e := engine.New(db, engine.WithCartesian(cross))
-	start := time.Now()
-	p, err := e.Prepare(sqlText)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.Count(), time.Since(start), nil
 }
 
 // PruningAblation compares the full space against the space a pruning

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"math/big"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -34,7 +34,7 @@ func expDB(t *testing.T) *storage.DB {
 
 // quickCfg keeps test runtime low; the full 10k-sample runs live in the
 // benchmark harness and cmd/costdist.
-var quickCfg = Config{SampleSize: 400, Seed: 1, Workers: 2}
+var quickCfg = Config{SampleSize: 400, Seed: 1}
 
 // TestTable1Shape verifies the qualitative claims of Table 1 (E1) at a
 // reduced sample size: enormous plan counts, sampled minimum close to the
@@ -187,21 +187,6 @@ func TestPruneAblation(t *testing.T) {
 	}
 }
 
-// TestCountOnly (E3): counting completes and is fast.
-func TestCountOnly(t *testing.T) {
-	q7, _ := tpch.Query("Q7")
-	n, d, err := CountOnly(expDB(t), q7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Sign() <= 0 {
-		t.Error("count is zero")
-	}
-	if d.Seconds() > 5 {
-		t.Errorf("counting took %v", d)
-	}
-}
-
 func TestFormatTable1(t *testing.T) {
 	rows := []Table1Row{
 		{Query: "Q5", Plans: bigInt(123456), Min: 1.1, Mean: 17098, Max: 4034135, WithinTwo: 0.0047, WithinTen: 0.1215},
@@ -215,43 +200,35 @@ func TestFormatTable1(t *testing.T) {
 	}
 }
 
-// TestParallelSamplingDeterministic: sharded sampling is reproducible
-// for a fixed (seed, size, workers), each worker's region matches an
-// independent sampler seeded by core.DeriveSeed, and Workers=1 matches
-// the sequential path.
-func TestParallelSamplingDeterministic(t *testing.T) {
+// TestSamplingDeterministic: the Table 1 and Figure 4 sample depends
+// only on (Seed, SampleSize). Two runs draw the same costs, and they
+// are the costs Prepared.SampleScaledCosts writes for a sampler seeded
+// with Seed.
+func TestSamplingDeterministic(t *testing.T) {
 	q5, _ := tpch.Query("Q5")
-	run := func(workers int) []float64 {
-		t.Helper()
-		cfg := Config{SampleSize: 300, Seed: 9, Workers: workers}
-		costs, _, err := ScaledCosts(expDB(t), q5, false, &cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return costs
-	}
-	a, b := run(3), run(3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d differs across identical parallel runs", i)
-		}
-	}
-
-	// Worker 1's region equals a sequential draw under the derived seed.
-	cfg := Config{SampleSize: 300, Seed: 9, Workers: 1}
-	p, err := cfg.sessionFor(expDB(t), false).Prepare(q5)
+	cfg := Config{SampleSize: 300, Seed: 9}
+	a, p, err := ScaledCosts(expDB(t), q5, false, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, w := 300, 3
-	lo, hi := 1*k/w, 2*k/w
-	region := make([]float64, hi-lo)
-	if err := sampleRegion(p, core.DeriveSeed(9, 1), region); err != nil {
+	b, _, err := ScaledCosts(expDB(t), q5, false, &cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range region {
-		if a[lo+i] != c {
-			t.Fatalf("worker 1 draw %d: %g != independently derived %g", i, a[lo+i], c)
+	smp, err := p.Sampler(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, 300)
+	if err := p.SampleScaledCosts(smp, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(want) || len(b) != len(want) {
+		t.Fatalf("sample sizes %d, %d; want %d", len(a), len(b), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(a[i]) != math.Float64bits(want[i]) || math.Float64bits(b[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("draw %d: %g and %g across runs, SampleScaledCosts %g", i, a[i], b[i], want[i])
 		}
 	}
 }
@@ -260,7 +237,7 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 // one config share a single engine and space cache — the second call
 // for a (query, cross) pair must be served from the cache.
 func TestConfigReusesEngineAndCache(t *testing.T) {
-	cfg := Config{SampleSize: 50, Seed: 1, Workers: 2}
+	cfg := Config{SampleSize: 50, Seed: 1}
 	first, err := Table1(expDB(t), "Q7", false, &cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +255,7 @@ func TestConfigReusesEngineAndCache(t *testing.T) {
 	if first.Plans.Cmp(second.Plans) != 0 {
 		t.Errorf("counts differ across cache hit: %s vs %s", first.Plans, second.Plans)
 	}
-	// Same config, same seed, same workers: identical sampled summary.
+	// Same config, same seed: identical sampled summary.
 	if first.Mean != second.Mean || first.Max != second.Max {
 		t.Errorf("sampled summary differs across cache hit: %+v vs %+v", first, second)
 	}

@@ -274,10 +274,11 @@ func TestSampleWideTier(t *testing.T) {
 	}
 }
 
-// TestSampleWideLoopAllocationFree: the wide-tier sampling loop behind
-// /sample — limb rank draws, cost by rank on the arena's limb scratch
-// and cost stack, arena-backed decimal rendering — must not allocate
-// per plan beyond the response strings, exactly like the uint64 loop.
+// TestSampleWideLoopAllocationFree: the sampling loop behind /sample on
+// a wide space — multi-limb rank draws, cost by rank on the arena's
+// limb scratch and cost stack, arena-backed decimal rendering — must not
+// allocate per plan beyond the response strings, exactly as on a
+// uint64 space.
 func TestSampleWideLoopAllocationFree(t *testing.T) {
 	_, e := newTestServer(t)
 	sqlQ8, _ := tpch.Query("Q8")

@@ -23,11 +23,11 @@ import (
 // invalid.
 func (s *Space) CostWideInto(r []uint64, m *cost.Model, a *Arena) (float64, error) {
 	a.Reset()
-	e, local, err := s.pickRoot(r, &a.wide)
+	e, v, local, fits, err := s.pickRoot(r, &a.wide)
 	if err != nil {
 		return 0, err
 	}
-	if v, fits := s.fitsLocal(e, local); fits {
+	if fits {
 		return s.costExpr64(e, v, m, a)
 	}
 	return s.costExprWide(e, local, m, a)

@@ -14,7 +14,8 @@ import (
 // wide (or single-limb) bases only where a node's count needs it, and
 // hand any subtree whose count fits uint64 to the native leaf in
 // fast.go — on a space whose total fits, that is the root operator
-// itself, so the limb work is one root selection. Every temporary is
+// itself, selected on the root's native row, so the only limb work is
+// the range check. Every temporary is
 // carved from a WideArena, so a warmed UnrankWideInto performs zero
 // heap allocations.
 
@@ -22,25 +23,37 @@ import (
 // modified) in a — fresh heap nodes when a is nil — with limb scratch
 // from wa.
 func (s *Space) unrankWide(r []uint64, a *Arena, wa *WideArena) (*plan.Node, error) {
-	e, local, err := s.pickRoot(r, wa)
+	e, v, local, fits, err := s.pickRoot(r, wa)
 	if err != nil {
 		return nil, err
 	}
-	if v, fits := s.fitsLocal(e, local); fits {
+	if fits {
 		return s.unrankExpr64(e, v, a)
 	}
 	return s.unrankExprWide(e, local, a, wa)
 }
 
 // pickRoot checks rank r (not modified) against N and selects the root
-// operator, returning it with its local rank as owned scratch from wa.
-func (s *Space) pickRoot(r []uint64, wa *WideArena) (*memo.Expr, []uint64, error) {
+// operator e. When e's subtree is counted in uint64 (fits), its local
+// rank comes back natively in v; otherwise as owned scratch from wa.
+func (s *Space) pickRoot(r []uint64, wa *WideArena) (e *memo.Expr, v uint64, local []uint64, fits bool, err error) {
 	r = wideNorm(r)
 	if wideCmp(r, s.totalW) >= 0 {
-		return nil, nil, s.errRange(limbsToBig(r))
+		return nil, 0, nil, false, s.errRange(limbsToBig(r))
 	}
-	e, local := s.root.pick(wa.put(r))
-	return e, local, nil
+	if x := s.root; x.bW == nil {
+		// A native root row holds every rank of a uint64-tier space:
+		// select on it directly, with no limb scratch. Only a space
+		// forced onto the wide tier falls through.
+		r0, _ := wideToU64(r)
+		j := selectByPrefix64(x.prefix64, r0)
+		if e := x.cands[j]; s.info[e.ID].fits {
+			return e, r0 - x.prefix64[j], nil, true, nil
+		}
+	}
+	e, local = s.root.pick(wa.put(r))
+	v, fits = s.fitsLocal(e, local)
+	return e, v, local, fits, nil
 }
 
 // errRange reports a rank outside [0, N).
